@@ -63,17 +63,15 @@ impl WarpControlBlock {
         self.bank_of[reg.index()].take()
     }
 
-    /// Removes every mapping, returning the freed banks. Used when a warp is
-    /// deactivated and releases its register-cache slots.
-    pub fn unmap_all(&mut self) -> Vec<u8> {
-        let mut freed = Vec::new();
-        for slot in self.bank_of.iter_mut() {
-            if let Some(bank) = slot.take() {
-                freed.push(bank);
-            }
+    /// Removes every mapping. Used when a warp is deactivated and releases
+    /// its register-cache slots; the caller frees the banks wholesale. Only
+    /// the mapped registers are visited: a register has a bank exactly when
+    /// it is in the working set.
+    pub fn unmap_all(&mut self) {
+        for reg in self.working_set.iter() {
+            self.bank_of[reg.index()] = None;
         }
         self.working_set.clear();
-        freed
     }
 
     /// Registers currently mapped into the cache.
@@ -202,10 +200,20 @@ mod tests {
         wcb.map_register(r(0), 0);
         wcb.map_register(r(1), 1);
         wcb.map_register(r(9), 2);
-        let mut freed = wcb.unmap_all();
-        freed.sort_unstable();
-        assert_eq!(freed, vec![0, 1, 2]);
+        wcb.unmap_all();
+        for reg in [r(0), r(1), r(9)] {
+            assert_eq!(wcb.bank_of(reg), None);
+            assert!(!wcb.is_cached(reg));
+        }
         assert!(wcb.cached_registers().is_empty());
+        // A register unmapped on its own before the bulk release stays
+        // unmapped, and remapping after it starts from a clean table.
+        wcb.map_register(r(4), 7);
+        assert_eq!(wcb.unmap_register(r(4)), Some(7));
+        wcb.map_register(r(5), 1);
+        wcb.unmap_all();
+        assert_eq!(wcb.bank_of(r(4)), None);
+        assert_eq!(wcb.bank_of(r(5)), None);
     }
 
     #[test]

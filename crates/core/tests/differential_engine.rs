@@ -12,12 +12,17 @@
 //! * all six register-file organizations,
 //! * SM counts {1, 4, 16} (single-SM path, and the lock-step GPU over a
 //!   shared L2/DRAM at two scales),
-//! * a 32-member generated workload population, and
-//! * the three checked-in `examples/traces/` workloads.
+//! * a 32-member generated workload population,
+//! * the three checked-in `examples/traces/` workloads, and
+//! * 16-SM crossbar and mesh runs whose MSHRs saturate, including one the
+//!   cycle cap stops, where the lock-step driver lets an SM that is waiting
+//!   on its MSHRs sleep to its exact wake cycle.
 
 use ltrf_core::{
-    run_experiment_with_engine, EngineKind, ExperimentConfig, Organization, RunResult,
+    build_organization_fleet, run_experiment_with_engine, EngineKind, ExperimentConfig, LtrfParams,
+    Organization, RunResult, Topology,
 };
+use ltrf_sim::{simulate_gpu_with, GpuStats, InterconnectConfig, SimWorkload};
 use ltrf_trace::TraceWorkloadId;
 use ltrf_workloads::{GeneratorConfig, Workload, WorkloadGenerator};
 
@@ -139,4 +144,139 @@ fn default_engine_is_fast_and_reuses_existing_semantics() {
     // carries no engine field.
     assert!(!config.cache_key_material().contains("engine"));
     let _: RunResult = via_default;
+}
+
+/// MSHRs per SM in the saturating runs: few enough that warps regularly
+/// find every MSHR busy, which is when the fast engine's wake rule differs
+/// most from the reference engine's conservative horizon.
+const SCARCE_MSHRS: usize = 4;
+
+/// Runs `workload` under `org` on a 16-SM GPU over `topology`, with
+/// `mshrs` MSHRs per SM and the safety cap at `max_cycles`, on one engine.
+fn gpu_run(
+    workload: &Workload,
+    org: Organization,
+    topology: Topology,
+    mshrs: usize,
+    max_cycles: u64,
+    kind: EngineKind,
+) -> GpuStats {
+    let sm_count = 16;
+    let config = ExperimentConfig::for_table2(org, 6)
+        .with_sm_count(sm_count)
+        .with_interconnect(InterconnectConfig::with_topology(topology));
+    let mut gpu = config.gpu_config();
+    gpu.sm.memory.max_outstanding_requests = mshrs;
+    gpu.sm.max_cycles = max_cycles;
+    let scaled = workload.kernel_for_sm_count(sm_count);
+    let params = LtrfParams {
+        registers_per_interval: config.registers_per_interval,
+        active_warps: config.active_warps,
+        liveness_aware: org == Organization::LtrfPlus,
+    };
+    let (kernel, mut models) = build_organization_fleet(
+        org,
+        &scaled,
+        gpu.sm.regfile,
+        params,
+        config.rfc_entries_per_warp,
+        sm_count,
+    )
+    .expect("the saturating members compile");
+    let mut memory = workload.memory();
+    memory.footprint_bytes *= sm_count as u64;
+    let sim = SimWorkload::new(kernel)
+        .with_memory(memory)
+        .with_seed(3_000);
+    simulate_gpu_with(&sim, &gpu, &mut models, kind)
+}
+
+/// Asserts the two engines' `GpuStats` equal under exact `f64` equality,
+/// naming the per-SM counters the lock-step driver accounts itself (idle
+/// cycles, which sleeping SMs are charged in bulk) before the whole struct.
+fn assert_gpu_stats_agree(fast: &GpuStats, reference: &GpuStats, label: &str) {
+    assert_eq!(fast.per_sm.len(), reference.per_sm.len(), "{label}");
+    for (sm, (f, r)) in fast.per_sm.iter().zip(&reference.per_sm).enumerate() {
+        assert_eq!(f.idle_cycles, r.idle_cycles, "{label}: SM {sm} idle cycles");
+        assert_eq!(
+            f.warp_activations, r.warp_activations,
+            "{label}: SM {sm} warp activations"
+        );
+        assert_eq!(
+            f.memory.mshr_stalls, r.memory.mshr_stalls,
+            "{label}: SM {sm} MSHR stalls"
+        );
+    }
+    assert_eq!(
+        fast, reference,
+        "{label}: fast engine diverged from the reference oracle"
+    );
+}
+
+/// 16 SMs over a crossbar and over a mesh with four MSHRs per SM: the
+/// engines agree on every `GpuStats` field, and the MSHR limit really binds
+/// (the same run with the default MSHR count finishes sooner).
+#[test]
+fn gpu_engines_agree_when_mshrs_saturate_at_16_sms() {
+    let population = WorkloadGenerator::population_with_config(0x5A7, 2, test_bounds());
+    let organizations = [Organization::Ltrf, Organization::Rfc];
+    for topology in [Topology::Crossbar, Topology::Mesh2D] {
+        for (i, workload) in population.iter().enumerate() {
+            let org = organizations[i];
+            let label = format!("member {i} ({org}, {topology:?}, {SCARCE_MSHRS} MSHRs)");
+            let cap = 50_000_000;
+            let fast = gpu_run(workload, org, topology, SCARCE_MSHRS, cap, EngineKind::Fast);
+            let reference = gpu_run(
+                workload,
+                org,
+                topology,
+                SCARCE_MSHRS,
+                cap,
+                EngineKind::Reference,
+            );
+            assert!(!fast.truncated, "{label}: run must complete");
+            assert_gpu_stats_agree(&fast, &reference, &label);
+            let roomy = gpu_run(workload, org, topology, 64, cap, EngineKind::Fast);
+            assert!(
+                fast.cycles > roomy.cycles,
+                "{label}: {SCARCE_MSHRS} MSHRs must throttle the run ({} vs {} cycles)",
+                fast.cycles,
+                roomy.cycles
+            );
+        }
+    }
+}
+
+/// A saturating 16-SM run stopped by the cycle cap: both engines report it
+/// truncated with identical statistics, which pins the idle cycles charged
+/// to SMs still asleep when the run ends.
+#[test]
+fn gpu_engines_agree_when_the_cycle_cap_stops_the_run() {
+    let population = WorkloadGenerator::population_with_config(0x5A7, 1, test_bounds());
+    let workload = &population[0];
+    let (org, topology) = (Organization::Ltrf, Topology::Crossbar);
+    let full = gpu_run(
+        workload,
+        org,
+        topology,
+        SCARCE_MSHRS,
+        50_000_000,
+        EngineKind::Fast,
+    );
+    let cap = full.cycles / 3;
+    let fast = gpu_run(workload, org, topology, SCARCE_MSHRS, cap, EngineKind::Fast);
+    let reference = gpu_run(
+        workload,
+        org,
+        topology,
+        SCARCE_MSHRS,
+        cap,
+        EngineKind::Reference,
+    );
+    assert!(
+        fast.truncated && fast.cycles >= cap,
+        "the cap must stop the run"
+    );
+    assert!(fast.instructions < full.instructions);
+    assert_gpu_stats_agree(&fast, &reference, "capped crossbar run");
 }

@@ -378,8 +378,8 @@ impl<'a> SmEngine<'a> for Engine<'a> {
         self.finished >= self.warps.len()
     }
 
-    fn note_idle(&mut self) {
-        self.stats.idle_cycles += 1;
+    fn note_idle(&mut self, cycles: u64) {
+        self.stats.idle_cycles += cycles;
     }
 
     fn issue_cycle(&mut self, cycle: Cycle) -> usize {
@@ -402,7 +402,8 @@ impl<'a> SmEngine<'a> for Engine<'a> {
         issued
     }
 
-    fn refill_active_pool(&mut self, cycle: Cycle) {
+    fn refill_active_pool(&mut self, cycle: Cycle) -> bool {
+        let before = self.active.len();
         while self.active.len() < self.config.active_warps {
             let candidate = self.pick_activation_candidate(cycle);
             let Some(warp_id) = candidate else { break };
@@ -416,6 +417,7 @@ impl<'a> SmEngine<'a> for Engine<'a> {
             self.active.push(warp_id);
             self.stats.warp_activations += 1;
         }
+        self.active.len() > before
     }
 
     fn next_event_after(&mut self, cycle: Cycle) -> Cycle {

@@ -29,7 +29,9 @@
 //!   pre-sized buffer refilled in place; no per-cycle `Vec` allocation.
 //!
 //! What skip-ahead may skip, and what it may not, is decided by
-//! `next_event_after`: see the DESIGN.md section on the event-driven core.
+//! `next_event_after`; how long the multi-SM driver may leave an idle SM
+//! asleep is decided by `wake_after`. See the DESIGN.md section on the
+//! event-driven core.
 
 use ltrf_isa::trace::BranchRng;
 use ltrf_isa::{ArchReg, BlockId, BranchBehavior, Kernel, Opcode, OpcodeClass, RegSet, Terminator};
@@ -438,8 +440,8 @@ impl<'a> SmEngine<'a> for FastEngine<'a> {
         self.finished >= self.status.len()
     }
 
-    fn note_idle(&mut self) {
-        self.stats.idle_cycles += 1;
+    fn note_idle(&mut self, cycles: u64) {
+        self.stats.idle_cycles += cycles;
     }
 
     fn issue_cycle(&mut self, cycle: Cycle) -> usize {
@@ -451,13 +453,14 @@ impl<'a> SmEngine<'a> for FastEngine<'a> {
         // snapshot keeps mid-cycle retires/demotions from shifting the walk.
         self.snapshot.clear();
         self.snapshot.extend_from_slice(&self.active);
-        let start = (cycle as usize) % len;
+        let mut next = (cycle as usize) % len;
         let mut issued = 0;
-        for offset in 0..len {
+        for _ in 0..len {
             if issued >= self.config.issue_width {
                 break;
             }
-            let warp_id = self.snapshot[(start + offset) % len];
+            let warp_id = self.snapshot[next];
+            next = if next + 1 == len { 0 } else { next + 1 };
             if self.try_issue(warp_id, cycle) {
                 issued += 1;
             }
@@ -465,7 +468,8 @@ impl<'a> SmEngine<'a> for FastEngine<'a> {
         issued
     }
 
-    fn refill_active_pool(&mut self, cycle: Cycle) {
+    fn refill_active_pool(&mut self, cycle: Cycle) -> bool {
+        let before = self.active.len();
         while self.active.len() < self.config.active_warps {
             let Some(warp_id) = self.pick_activation_candidate(cycle) else {
                 break;
@@ -480,6 +484,7 @@ impl<'a> SmEngine<'a> for FastEngine<'a> {
             self.active.push(warp_id);
             self.stats.warp_activations += 1;
         }
+        self.active.len() > before
     }
 
     fn next_event_after(&mut self, cycle: Cycle) -> Cycle {
@@ -506,6 +511,48 @@ impl<'a> SmEngine<'a> for FastEngine<'a> {
         }
         if next == Cycle::MAX {
             cycle + 1
+        } else {
+            next
+        }
+    }
+
+    /// The precise rule for a horizon of `cycle + 1`. An SM that issued
+    /// nothing left each active warp stalled or ready; a ready warp failed
+    /// only for want of an operand collector or, when one was free, of an
+    /// MSHR, so it cannot issue before the earliest collector release or
+    /// MSHR release. Never-started warps wait for a pool slot, which only a
+    /// step can free; the driver's refill admits them when one is free.
+    fn wake_after(&mut self, cycle: Cycle, horizon: Cycle) -> Cycle {
+        if horizon > cycle + 1 {
+            return horizon;
+        }
+        let mut next = Cycle::MAX;
+        let mut ready = false;
+        for &id in &self.active {
+            match self.status[id.index()] {
+                WarpStatus::StalledUntil(t) if t > cycle => next = next.min(t),
+                WarpStatus::Ready => ready = true,
+                _ => {}
+            }
+        }
+        if let Some(t) = self.wakeups.next_wake_after(cycle) {
+            next = next.min(t);
+        }
+        let mut collector_free = false;
+        for &busy in &self.collectors {
+            if busy > cycle {
+                next = next.min(busy);
+            } else {
+                collector_free = true;
+            }
+        }
+        if ready && collector_free {
+            if let Some(t) = self.memory.mshr_release() {
+                next = next.min(t);
+            }
+        }
+        if next == Cycle::MAX {
+            horizon
         } else {
             next
         }

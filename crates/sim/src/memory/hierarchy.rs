@@ -15,6 +15,8 @@
 //!   exists to model.
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
@@ -192,8 +194,9 @@ pub struct MemoryHierarchy {
     /// Which SM this port belongs to — the network source for shared
     /// backends (always 0 for a private hierarchy).
     sm_index: usize,
-    /// Completion times of outstanding requests (bounded by the MSHR count).
-    outstanding: Vec<Cycle>,
+    /// Completion times of outstanding requests, earliest on top (bounded
+    /// by the MSHR count).
+    outstanding: BinaryHeap<Reverse<Cycle>>,
     stats_global_requests: u64,
     stats_mshr_stalls: u64,
 }
@@ -210,7 +213,7 @@ impl MemoryHierarchy {
                 dram: Dram::new(config),
             })),
             sm_index: 0,
-            outstanding: Vec::with_capacity(config.max_outstanding_requests),
+            outstanding: BinaryHeap::with_capacity(config.max_outstanding_requests),
             stats_global_requests: 0,
             stats_mshr_stalls: 0,
         }
@@ -230,7 +233,7 @@ impl MemoryHierarchy {
             l1d: Cache::new(config.l1d_bytes, config.l1d_ways, config.line_bytes),
             backend: Backend::Shared(shared),
             sm_index,
-            outstanding: Vec::with_capacity(config.max_outstanding_requests),
+            outstanding: BinaryHeap::with_capacity(config.max_outstanding_requests),
             stats_global_requests: 0,
             stats_mshr_stalls: 0,
         }
@@ -238,9 +241,29 @@ impl MemoryHierarchy {
 
     /// Returns `true` if a new global-memory request can be accepted at
     /// `now` (an MSHR slot is free).
+    ///
+    /// Retiring is destructive: every request completed by `now` leaves the
+    /// MSHRs for good, even if a later call asks about an earlier cycle.
     pub fn can_accept(&mut self, now: Cycle) -> bool {
-        self.outstanding.retain(|&done| done > now);
+        while self
+            .outstanding
+            .peek()
+            .is_some_and(|&Reverse(done)| done <= now)
+        {
+            self.outstanding.pop();
+        }
         self.outstanding.len() < self.config.max_outstanding_requests
+    }
+
+    /// While every MSHR is occupied, the completion cycle of the earliest
+    /// outstanding request: no request is accepted before it. `None` while
+    /// a slot is free.
+    #[must_use]
+    pub fn mshr_release(&self) -> Option<Cycle> {
+        if self.outstanding.len() < self.config.max_outstanding_requests {
+            return None;
+        }
+        self.outstanding.peek().map(|&Reverse(done)| done)
     }
 
     /// Issues a global-memory access (load or store) for `address` at `now`
@@ -279,7 +302,7 @@ impl MemoryHierarchy {
                 }
             }
         };
-        self.outstanding.push(done);
+        self.outstanding.push(Reverse(done));
         done
     }
 
@@ -383,6 +406,43 @@ mod tests {
         assert!(m.stats().mshr_stalls > 0);
         // After everything completes the hierarchy accepts requests again.
         assert!(m.can_accept(1_000_000_000));
+    }
+
+    /// The retire semantics the MSHR heap keeps: a request completed by the
+    /// latest cycle any call has seen is gone for good, even when a later
+    /// call asks about an earlier cycle, and the release query reports the
+    /// earliest completion only while every MSHR is busy.
+    #[test]
+    fn mshr_retire_is_destructive_and_release_is_the_earliest_completion() {
+        let cfg = MemoryConfig {
+            max_outstanding_requests: 2,
+            ..MemoryConfig::default()
+        };
+        let mut m = MemoryHierarchy::new(&cfg);
+        assert_eq!(m.mshr_release(), None, "no request outstanding");
+        let a = m.access_global(0, 0);
+        assert_eq!(m.mshr_release(), None, "one of two MSHRs busy");
+        let b = m.access_global(4096, 10);
+        let first = a.min(b);
+        assert_eq!(m.mshr_release(), Some(first), "both MSHRs busy");
+        assert!(!m.can_accept(first - 1));
+        assert_eq!(
+            m.mshr_release(),
+            Some(first),
+            "a failed check retires nothing"
+        );
+        // A request issued at a future cycle retires everything done by then.
+        let c = m.access_global(8192, a.max(b));
+        assert!(c > a.max(b));
+        // Both retired requests stay retired when an earlier cycle is asked
+        // about: only the new request is outstanding.
+        assert!(m.can_accept(first - 1));
+        assert_eq!(m.mshr_release(), None);
+        let d = m.access_global(12288, first - 1);
+        assert_eq!(m.mshr_release(), Some(c.min(d)));
+        assert!(m.can_accept(c.max(d)));
+        assert_eq!(m.mshr_release(), None, "everything retired");
+        assert_eq!(m.stats().mshr_stalls, 0);
     }
 
     #[test]

@@ -11,17 +11,13 @@
 //! Entries live in packed append-only segment files under
 //! `<cache>/segments/` (see [`crate::packed`]) — a handful of files instead
 //! of one per point, which is what keeps 10k+-point campaigns from
-//! exhausting inodes. Caches written by older releases used one
-//! `<digest>.json` file per point; [`ResultCache::load`] still falls back to
-//! those, so existing cache populations keep hitting. New stores always go
-//! to the packed store.
+//! exhausting inodes. It is the only store format.
 //!
 //! Stores are crash-ordered (payload flushed before the index line that
 //! makes it reachable), so concurrent workers — or concurrent sweep
 //! processes — never observe torn entries. Loads are tolerant: anything
 //! unreadable or unparsable is treated as a miss and recomputed.
 
-use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -144,17 +140,6 @@ impl ResultCache {
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        // Sweep temp files orphaned by interrupted stores of older releases
-        // (which wrote per-point files via temp + rename); packed stores
-        // leave no temp files behind.
-        if let Ok(entries) = fs::read_dir(&dir) {
-            for entry in entries.filter_map(Result::ok) {
-                let name = entry.file_name();
-                if name.to_string_lossy().starts_with(".tmp-") {
-                    let _ = fs::remove_file(entry.path());
-                }
-            }
-        }
         let packed = PackedStore::open(dir.join("segments"))?;
         Ok(ResultCache { dir, packed })
     }
@@ -165,22 +150,12 @@ impl ResultCache {
         &self.dir
     }
 
-    fn entry_path(&self, digest_hex: &str) -> PathBuf {
-        self.dir.join(format!("{digest_hex}.json"))
-    }
-
     /// Loads the outcome stored under `key`, verifying the key material.
-    ///
-    /// The packed segments are consulted first, then the legacy per-point
-    /// `<digest>.json` file, so caches written by older releases keep
-    /// hitting. Any failure — missing entry, torn write, schema drift,
-    /// digest collision on a stale file — is a miss.
+    /// Any failure — missing entry, torn write, schema drift, digest
+    /// collision — is a miss.
     #[must_use]
     pub fn load<T: Deserialize>(&self, key: &PointKey) -> Option<T> {
-        let text = self
-            .packed
-            .load(&key.digest_hex)
-            .or_else(|| fs::read_to_string(self.entry_path(&key.digest_hex)).ok())?;
+        let text = self.packed.load(&key.digest_hex)?;
         let entry: CacheEntry = serde::from_json_str(&text).ok()?;
         if entry.key_material != key.material {
             return None;
@@ -207,32 +182,16 @@ impl ResultCache {
             .store(&key.digest_hex, &serde::to_json_string(&entry))
     }
 
-    /// Number of entries currently stored: packed entries plus legacy
-    /// per-point files, deduplicated by digest.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error if the directory cannot be read.
-    pub fn len(&self) -> std::io::Result<usize> {
-        let mut digests: HashSet<String> = self.packed.digests().into_iter().collect();
-        for entry in fs::read_dir(&self.dir)?.filter_map(Result::ok) {
-            let path = entry.path();
-            if path.extension().is_some_and(|ext| ext == "json") {
-                if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-                    digests.insert(stem.to_string());
-                }
-            }
-        }
-        Ok(digests.len())
+    /// Number of distinct entries currently stored.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.packed.len()
     }
 
     /// Whether the cache holds no entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error if the directory cannot be read.
-    pub fn is_empty(&self) -> std::io::Result<bool> {
-        self.len().map(|n| n == 0)
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -377,7 +336,7 @@ mod tests {
         assert!(cache.load::<f64>(&key).is_none());
         cache.store(&key, &1.25f64).unwrap();
         assert_eq!(cache.load::<f64>(&key), Some(1.25));
-        assert_eq!(cache.len().unwrap(), 1);
+        assert_eq!(cache.len(), 1);
         // Entries survive a reopen (the packed index is rebuilt from disk).
         let reopened = ResultCache::open(&dir).unwrap();
         assert_eq!(reopened.load::<f64>(&key), Some(1.25));
@@ -392,39 +351,6 @@ mod tests {
         }
         let corrupted = ResultCache::open(&dir).unwrap();
         assert!(corrupted.load::<f64>(&key).is_none());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_per_point_entries_still_hit() {
-        let dir = std::env::temp_dir().join(format!("ltrf-cache-legacy-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let spec = test_spec();
-        let key = point_key(&spec, &spec.points[0]);
-        // Write an entry the way pre-packed releases did: one JSON file per
-        // point, named by digest.
-        let entry = CacheEntry {
-            key_material: key.material.clone(),
-            outcome: Serialize::to_value(&2.5f64),
-        };
-        fs::write(
-            dir.join(format!("{}.json", key.digest_hex)),
-            serde::to_json_string(&entry),
-        )
-        .unwrap();
-        let cache = ResultCache::open(&dir).unwrap();
-        assert_eq!(
-            cache.load::<f64>(&key),
-            Some(2.5),
-            "old per-point entries must keep hitting"
-        );
-        assert_eq!(cache.len().unwrap(), 1);
-        // A new store for the same digest goes to the packed store and
-        // shadows the legacy file; len() deduplicates the digest.
-        cache.store(&key, &3.5f64).unwrap();
-        assert_eq!(cache.load::<f64>(&key), Some(3.5));
-        assert_eq!(cache.len().unwrap(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -214,17 +214,6 @@ impl PackedStore {
         unreachable!("u64 segment counter space exhausted")
     }
 
-    /// The digests currently reachable through the index.
-    #[must_use]
-    pub fn digests(&self) -> Vec<String> {
-        self.index
-            .lock()
-            .expect("packed index poisoned")
-            .keys()
-            .cloned()
-            .collect()
-    }
-
     /// Number of reachable entries.
     #[must_use]
     pub fn len(&self) -> usize {
