@@ -13,7 +13,7 @@
 //! of one per point, which is what keeps 10k+-point campaigns from
 //! exhausting inodes. It is the only store format.
 //!
-//! Stores are crash-ordered (payload flushed before the index line that
+//! Stores are crash-ordered (payload written before the index line that
 //! makes it reachable), so concurrent workers — or concurrent sweep
 //! processes — never observe torn entries. Loads are tolerant: anything
 //! unreadable or unparsable is treated as a miss and recomputed.
@@ -121,14 +121,15 @@ pub struct ResultCache {
     packed: PackedStore,
 }
 
-/// What a cache entry holds on disk. The outcome stays an untyped [`Value`]
-/// here; [`ResultCache::load`] decodes it into the caller's type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct CacheEntry {
-    /// The key material the entry was stored under (self-description).
-    key_material: String,
-    /// The cached outcome.
-    outcome: Value,
+/// The start of the entry stored under `material`, up to the outcome:
+/// `{"key_material":<material as a JSON string>,"outcome":`. An entry is
+/// this prefix, the outcome's canonical JSON, and a closing `}`: the
+/// encoding of a `{key_material, outcome}` object in field order.
+fn entry_prefix(material: &str) -> String {
+    format!(
+        "{{\"key_material\":{},\"outcome\":",
+        serde::to_json_string(material)
+    )
 }
 
 impl ResultCache {
@@ -151,21 +152,23 @@ impl ResultCache {
     }
 
     /// Loads the outcome stored under `key`, verifying the key material.
-    /// Any failure — missing entry, torn write, schema drift, digest
-    /// collision — is a miss.
+    /// The entry must start with [`entry_prefix`] of the key's material,
+    /// byte for byte, and the rest must be exactly one outcome value and
+    /// the closing brace. Any failure — missing entry, torn write, checksum
+    /// mismatch, schema drift, digest collision, non-canonical bytes — is a
+    /// miss.
     #[must_use]
     pub fn load<T: Deserialize>(&self, key: &PointKey) -> Option<T> {
         let text = self.packed.load(&key.digest_hex)?;
-        let entry: CacheEntry = serde::from_json_str(&text).ok()?;
-        if entry.key_material != key.material {
-            return None;
-        }
-        T::from_value(&entry.outcome).ok()
+        let outcome = text
+            .strip_prefix(entry_prefix(&key.material).as_str())?
+            .strip_suffix('}')?;
+        serde::from_json_str(outcome).ok()
     }
 
     /// Stores `outcome` under `key` in the packed segment store.
     ///
-    /// Durability discipline: the payload is framed and flushed before the
+    /// Durability discipline: the payload is framed and written before the
     /// index line that makes it reachable is appended, so a kill mid-store
     /// degrades to a miss, never a torn entry.
     ///
@@ -174,12 +177,10 @@ impl ResultCache {
     /// Returns the underlying I/O error; callers may treat a failed store as
     /// non-fatal (the result is still returned to the campaign).
     pub fn store<T: Serialize>(&self, key: &PointKey, outcome: &T) -> std::io::Result<()> {
-        let entry = CacheEntry {
-            key_material: key.material.clone(),
-            outcome: outcome.to_value(),
-        };
-        self.packed
-            .store(&key.digest_hex, &serde::to_json_string(&entry))
+        let mut entry = entry_prefix(&key.material);
+        entry.push_str(&outcome.to_value().to_json());
+        entry.push('}');
+        self.packed.store(&key.digest_hex, &entry)
     }
 
     /// Number of distinct entries currently stored.
@@ -323,6 +324,174 @@ mod tests {
         assert!(!point_key(&suite, &suite.points[0])
             .material
             .contains("trace"));
+    }
+
+    /// One point of each kind, pinned to its digest and seed. A JSON writer
+    /// change that moves any of these orphans every existing cache entry,
+    /// and under `--per-point-seeds` changes simulated results too.
+    #[test]
+    fn point_keys_are_pinned() {
+        use crate::api::{registry, CampaignParams};
+        use crate::campaigns::{trace_campaign_spec, TraceCampaignParams};
+        use ltrf_sim::Topology;
+        use ltrf_trace::{LoweringBounds, TraceWorkloadId};
+
+        let specs = |campaign: &str, params: CampaignParams| {
+            registry()
+                .find(campaign)
+                .expect("registered campaign")
+                .specs(&CampaignParams {
+                    quick: true,
+                    ..params
+                })
+                .expect("valid parameters")
+        };
+        let fig9 = specs("fig9", CampaignParams::default()).remove(0);
+        let power = specs(
+            "power",
+            CampaignParams {
+                access_energy_pj: Some(75.5),
+                dwm_write_penalty: Some(1.25),
+                ..CampaignParams::default()
+            },
+        )
+        .remove(0);
+        let gen = specs(
+            "gen-campaign",
+            CampaignParams {
+                population: Some(4),
+                ..CampaignParams::default()
+            },
+        )
+        .remove(0);
+        let trace = trace_campaign_spec(&TraceCampaignParams::new(vec![TraceWorkloadId {
+            path: "examples/traces/straight_line.trace".to_string(),
+            content_hash: "cbf29ce484222325".to_string(),
+            bounds: LoweringBounds::default(),
+        }]));
+        let mesh = specs(
+            "interconnect",
+            CampaignParams {
+                topology: Some(Topology::Mesh2D),
+                ..CampaignParams::default()
+            },
+        )
+        .remove(0);
+        let per_point = specs(
+            "fig9",
+            CampaignParams {
+                per_point_seeds: true,
+                ..CampaignParams::default()
+            },
+        )
+        .remove(0);
+
+        // Kind, spec, point, a marker of the kind in the material, digest, seed.
+        let cases: [(&str, &SweepSpec, usize, &str, &str, u64); 6] = [
+            (
+                "fig9",
+                &fig9,
+                7,
+                "\"Fixed\"",
+                "3c3198419c7b2beaa494071c7e7a9e93e637f44c1e068c94374dba59e37298bb",
+                401_743_896,
+            ),
+            (
+                "power",
+                &power,
+                3,
+                "75.5",
+                "cba5450417ee44d8c33b4a10d6c6efa88052c40f2a2850bc237d52bde9967c59",
+                401_743_896,
+            ),
+            (
+                "gen-campaign",
+                &gen,
+                5,
+                "\"generated\"",
+                "9ac121d436e7a0582c0bfaa6a67568884c9700e32b103a6c8cc81a6b8f6dfda3",
+                401_743_896,
+            ),
+            (
+                "trace-campaign",
+                &trace,
+                1,
+                "\"trace\"",
+                "43832f12ef3ef25355082f0e579ff0a815129d4ac5f8593dd5d35500ca101975",
+                401_743_896,
+            ),
+            (
+                "interconnect mesh",
+                &mesh,
+                11,
+                "\"Mesh2D\"",
+                "f00131e3a8585dd0f81e1d1a297e4a7ad6da03ce85fb5de007a6b5e5dca1ab4b",
+                401_743_896,
+            ),
+            (
+                "fig9 per-point seeds",
+                &per_point,
+                7,
+                "\"PerPoint\"",
+                "fee7cff9bac234b7cd42bab01d75602a5cfda900d04c1bc57cf6867a782fea78",
+                18_367_878_276_513_273_007,
+            ),
+        ];
+        let actual: Vec<String> = cases
+            .iter()
+            .map(|(kind, spec, index, marker, _, _)| {
+                let key = point_key(spec, &spec.points[*index]);
+                assert!(key.material.contains(marker), "{kind}: {}", key.material);
+                format!("{kind}: {} {}", key.digest_hex, key.seed)
+            })
+            .collect();
+        let pinned: Vec<String> = cases
+            .iter()
+            .map(|(kind, _, _, _, digest, seed)| format!("{kind}: {digest} {seed}"))
+            .collect();
+        assert_eq!(actual, pinned, "a cache key moved");
+    }
+
+    /// An entry is the encoding of a `{key_material, outcome}` object in
+    /// field order. A hit needs that exact prefix for the key's material
+    /// and exactly one value after it, so anything else under the right
+    /// digest misses.
+    #[test]
+    fn entries_are_canonical_and_anything_else_misses() {
+        let dir =
+            std::env::temp_dir().join(format!("ltrf-sweep-cache-canonical-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cache = ResultCache::open(&dir).unwrap();
+        let spec = test_spec();
+        let key = point_key(&spec, &spec.points[0]);
+        let outcome = vec![1.5f64, -2.0];
+        cache.store(&key, &outcome).unwrap();
+        let entry = Value::Object(vec![
+            ("key_material".to_string(), Value::Str(key.material.clone())),
+            ("outcome".to_string(), outcome.to_value()),
+        ]);
+        assert_eq!(cache.packed.load(&key.digest_hex), Some(entry.to_json()));
+        assert_eq!(cache.load::<Vec<f64>>(&key), Some(outcome));
+
+        let collided = PointKey {
+            material: key.material.replace("hotspot", "hotspoT"),
+            ..key.clone()
+        };
+        assert!(
+            cache.load::<Vec<f64>>(&collided).is_none(),
+            "same digest, other material"
+        );
+        let material = serde::to_json_string(&key.material);
+        for payload in [
+            format!("{{\"key_material\":{material},\"outcome\":[1.5,-2.0],\"extra\":1}}"),
+            format!("{{\"key_material\":{material},\"outcome\":[1.5,-2.0]"),
+            format!("{{\"outcome\":[1.5,-2.0],\"key_material\":{material}}}"),
+            format!("{{ \"key_material\":{material},\"outcome\":[1.5,-2.0]}}"),
+        ] {
+            cache.packed.store(&key.digest_hex, &payload).unwrap();
+            assert!(cache.load::<Vec<f64>>(&key).is_none(), "{payload}");
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -112,11 +112,44 @@ pub fn sha256_hex(data: &[u8]) -> String {
 /// Renders a digest as lowercase hex.
 #[must_use]
 pub fn to_hex(digest: &[u8; 32]) -> String {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(64);
-    for byte in digest {
-        out.push_str(&format!("{byte:02x}"));
+    for &byte in digest {
+        out.push(char::from(HEX[usize::from(byte >> 4)]));
+        out.push(char::from(HEX[usize::from(byte & 0xf)]));
     }
     out
+}
+
+/// A 64-bit checksum of `data`, eight bytes at a time: the packed cache's
+/// guard against bit rot in stored payloads.
+///
+/// Each step maps `(state, word)` to a new state bijectively in either
+/// argument, so changing the bytes of any one aligned eight-byte word always
+/// changes the result. Wider damage is caught unless it happens to collide;
+/// the checksum guards against accidents, not adversaries. The length is
+/// folded in first, and the zero-padded tail is the last word. This is an on-disk format: [`crate::packed`] records it in
+/// every index line, so changing the function orphans every cache entry.
+#[must_use]
+pub fn checksum64(data: &[u8]) -> u64 {
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+    const SEED: u64 = 0x4c54_5246_5041_434b; // "LTRFPACK"
+    let step = |state: u64, word: u64| (state ^ word).wrapping_mul(MUL).rotate_left(29);
+    let mut words = data.chunks_exact(8);
+    let mut state = (data.len() as u64 ^ SEED).wrapping_mul(MUL);
+    for word in &mut words {
+        state = step(
+            state,
+            u64::from_le_bytes(word.try_into().expect("eight-byte chunk")),
+        );
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    state = step(state, u64::from_le_bytes(tail));
+    // Final avalanche, so nearby payloads get unrelated checksums.
+    state ^= state >> 33;
+    state = state.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    state ^ (state >> 33)
 }
 
 /// Folds a digest into a 64-bit seed (the first eight digest bytes).
@@ -146,6 +179,22 @@ mod tests {
             sha256_hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
+    }
+
+    /// The checksum is recorded on disk, so its values are pinned, and any
+    /// single-bit flip in a payload must change it.
+    #[test]
+    fn checksum_is_pinned_and_catches_every_bit_flip() {
+        assert_eq!(checksum64(b""), 0xe47b_2a1b_8603_bb83);
+        assert_eq!(checksum64(b"{\"x\":1}"), 0x7c08_50a9_293e_973b);
+        assert_ne!(checksum64(b"\0"), checksum64(b""), "the length is mixed in");
+        let payload: Vec<u8> = (0..61u8).map(|i| i.wrapping_mul(37)).collect();
+        let clean = checksum64(&payload);
+        for bit in 0..payload.len() * 8 {
+            let mut flipped = payload.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum64(&flipped), clean, "bit {bit} flipped unnoticed");
+        }
     }
 
     #[test]

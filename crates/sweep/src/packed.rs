@@ -9,16 +9,19 @@
 //!
 //! ```text
 //! <cache>/segments/seg-<pid>-<n>.pack    framed entry payloads (append-only)
-//! <cache>/segments/seg-<pid>-<n>.idx     one JSON line per entry: digest → span
+//! <cache>/segments/seg-<pid>-<n>.idx     one JSON line per entry: digest → span, checksum
 //! ```
 //!
 //! Each entry in a `.pack` file is framed as `LTRF1 <digest> <len>\n`
 //! followed by `<len>` bytes of payload and a newline, so segments are
-//! self-describing and recoverable with standard tools. The `.idx` sidecar
-//! line for an entry is appended only *after* the payload is flushed, which
-//! makes stores crash-ordered without temp files or renames: a kill between
-//! the two writes leaves an unreferenced (but well-framed) span that simply
-//! misses; a kill mid-line leaves a torn `.idx` tail that the loader skips.
+//! self-describing and recoverable with standard tools. The `.idx` line
+//! records the span and the payload's [`checksum64`]; a load whose bytes
+//! fail the checksum is a miss, and lines without one (written before it
+//! existed) are skipped. The `.idx` line for an entry is appended only
+//! *after* the payload is written, which makes stores crash-ordered without
+//! temp files or renames: a kill between the two writes leaves an
+//! unreferenced (but well-framed) span that simply misses; a kill mid-line
+//! leaves a torn `.idx` tail that the loader skips.
 //! Segment names embed the writing process's id plus a counter, so
 //! concurrent sweep processes never append to the same file.
 //!
@@ -26,15 +29,18 @@
 //! `.idx` file; duplicate digests (two processes computing the same point)
 //! are harmless because entries are content-addressed — any copy is as good
 //! as any other. Segments roll at [`SEGMENT_ROLL_BYTES`] so no single file
-//! grows unboundedly.
+//! grows unboundedly. Each segment's read handle is opened on its first
+//! load and kept, so a hit is one seek and read under the segment's lock.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
+
+use crate::hash::checksum64;
 
 /// A segment rolls over once its payload bytes pass this threshold, bounding
 /// the cost of reading (or shipping) any single file.
@@ -43,27 +49,48 @@ pub const SEGMENT_ROLL_BYTES: u64 = 4 * 1024 * 1024;
 /// Frame marker leading every packed entry.
 const FRAME_MAGIC: &str = "LTRF1";
 
-/// One `.idx` sidecar line: where a digest's payload lives.
+/// One `.idx` sidecar line: where a digest's payload lives, and the
+/// payload's [`checksum64`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct IndexLine {
     digest: String,
     segment: String,
     offset: u64,
     len: u64,
+    checksum: u64,
 }
 
-/// Where a payload lives, in memory.
-#[derive(Debug, Clone, PartialEq)]
+/// A `.pack` file and its read handle, shared by every span in it.
+#[derive(Debug)]
+struct Segment {
+    name: String,
+    /// Opened on the first load from this segment and kept; the lock makes
+    /// each seek + read one step.
+    reader: Mutex<Option<File>>,
+}
+
+impl Segment {
+    fn new(name: String) -> Arc<Self> {
+        Arc::new(Segment {
+            name,
+            reader: Mutex::new(None),
+        })
+    }
+}
+
+/// Where a payload lives, in memory, and what it must checksum to.
+#[derive(Debug, Clone)]
 struct Span {
-    segment: String,
+    segment: Arc<Segment>,
     offset: u64,
     len: u64,
+    checksum: u64,
 }
 
 /// The open segment this process is appending to.
 #[derive(Debug)]
 struct SegmentWriter {
-    name: String,
+    segment: Arc<Segment>,
     data: File,
     idx: File,
     written: u64,
@@ -80,7 +107,8 @@ pub struct PackedStore {
 impl PackedStore {
     /// Opens (creating if needed) the packed store under `dir` and builds
     /// the digest index from every `.idx` sidecar. Torn or garbled index
-    /// lines are skipped — their entries are unreachable and miss.
+    /// lines are skipped — their entries are unreachable and miss — and so
+    /// are lines without a checksum.
     ///
     /// # Errors
     ///
@@ -90,6 +118,7 @@ impl PackedStore {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let mut index = HashMap::new();
+        let mut segments: HashMap<String, Arc<Segment>> = HashMap::new();
         for entry in fs::read_dir(&dir)?.filter_map(Result::ok) {
             let path = entry.path();
             if path.extension().is_none_or(|ext| ext != "idx") {
@@ -102,12 +131,16 @@ impl PackedStore {
                 let Ok(parsed) = serde::from_json_str::<IndexLine>(line) else {
                     continue;
                 };
+                let segment = segments
+                    .entry(parsed.segment)
+                    .or_insert_with_key(|name| Segment::new(name.clone()));
                 index.insert(
                     parsed.digest,
                     Span {
-                        segment: parsed.segment,
+                        segment: Arc::clone(segment),
                         offset: parsed.offset,
                         len: parsed.len,
+                        checksum: parsed.checksum,
                     },
                 );
             }
@@ -119,11 +152,12 @@ impl PackedStore {
         })
     }
 
-    /// Loads the payload stored under `digest_hex`, if the index knows it.
+    /// Loads the payload stored under `digest_hex`, if the index knows it
+    /// and the bytes still match their checksum.
     ///
-    /// Any failure — missing segment, short read, non-UTF-8 bytes — is a
-    /// miss; the caller treats the payload like any other untrusted cache
-    /// text and re-verifies its key material.
+    /// Any failure — missing segment, short read, checksum mismatch,
+    /// non-UTF-8 bytes — is a miss; the caller treats the payload like any
+    /// other untrusted cache text and re-verifies its key material.
     #[must_use]
     pub fn load(&self, digest_hex: &str) -> Option<String> {
         let span = self
@@ -132,16 +166,29 @@ impl PackedStore {
             .expect("packed index poisoned")
             .get(digest_hex)
             .cloned()?;
-        let mut file = File::open(self.dir.join(&span.segment)).ok()?;
-        file.seek(SeekFrom::Start(span.offset)).ok()?;
-        let mut payload = vec![0u8; usize::try_from(span.len).ok()?];
-        file.read_exact(&mut payload).ok()?;
+        // The length comes from an index file: the buffer grows only as
+        // bytes arrive, so a garbled length is a short read, not an abort.
+        let mut payload =
+            Vec::with_capacity(usize::try_from(span.len.min(SEGMENT_ROLL_BYTES)).ok()?);
+        {
+            let mut reader = span.segment.reader.lock().expect("segment reader poisoned");
+            if reader.is_none() {
+                *reader = Some(File::open(self.dir.join(&span.segment.name)).ok()?);
+            }
+            let file = reader.as_mut()?;
+            file.seek(SeekFrom::Start(span.offset)).ok()?;
+            Read::take(file, span.len).read_to_end(&mut payload).ok()?;
+        }
+        if payload.len() as u64 != span.len || checksum64(&payload) != span.checksum {
+            return None;
+        }
         String::from_utf8(payload).ok()
     }
 
-    /// Appends `payload` under `digest_hex`: frame + payload to the current
-    /// segment, flush, then the index line (crash-ordering: an entry is
-    /// reachable only once it is fully on disk).
+    /// Appends `payload` under `digest_hex`: frame, payload and newline to
+    /// the current segment in one write, then the index line
+    /// (crash-ordering: an entry is reachable only once it is fully on
+    /// disk).
     ///
     /// # Errors
     ///
@@ -156,29 +203,32 @@ impl PackedStore {
             }
         };
 
-        let frame = format!("{FRAME_MAGIC} {digest_hex} {}\n", payload.len());
-        let offset = segment.written + frame.len() as u64;
-        segment.data.write_all(frame.as_bytes())?;
-        segment.data.write_all(payload.as_bytes())?;
-        segment.data.write_all(b"\n")?;
-        segment.data.flush()?;
-        segment.written = offset + payload.len() as u64 + 1;
+        let mut record = format!("{FRAME_MAGIC} {digest_hex} {}\n", payload.len());
+        let offset = segment.written + record.len() as u64;
+        record.reserve_exact(payload.len() + 1);
+        record.push_str(payload);
+        record.push('\n');
+        segment.data.write_all(record.as_bytes())?;
+        segment.written += record.len() as u64;
 
-        let line = serde::to_json_string(&IndexLine {
+        let checksum = checksum64(payload.as_bytes());
+        let mut line = serde::to_json_string(&IndexLine {
             digest: digest_hex.to_string(),
-            segment: segment.name.clone(),
+            segment: segment.segment.name.clone(),
             offset,
             len: payload.len() as u64,
+            checksum,
         });
-        segment.idx.write_all(format!("{line}\n").as_bytes())?;
-        segment.idx.flush()?;
+        line.push('\n');
+        segment.idx.write_all(line.as_bytes())?;
 
         self.index.lock().expect("packed index poisoned").insert(
             digest_hex.to_string(),
             Span {
-                segment: segment.name.clone(),
+                segment: Arc::clone(&segment.segment),
                 offset,
                 len: payload.len() as u64,
+                checksum,
             },
         );
         Ok(())
@@ -205,7 +255,7 @@ impl PackedStore {
                 .create(true)
                 .open(self.dir.join(format!("seg-{pid}-{counter}.idx")))?;
             return Ok(SegmentWriter {
-                name,
+                segment: Segment::new(name),
                 data,
                 idx,
                 written: 0,
@@ -235,6 +285,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ltrf-packed-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn only_file(dir: &std::path::Path, extension: &str) -> PathBuf {
+        fs::read_dir(dir)
+            .unwrap()
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .find(|p| p.extension().is_some_and(|ext| ext == extension))
+            .expect("one file with the extension")
     }
 
     #[test]
@@ -278,18 +337,70 @@ mod tests {
         store.store("aa", "payload-a").unwrap();
         drop(store);
         // Simulate a kill mid-append on the sidecar: a dangling partial line.
-        let idx_path = fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .find(|p| p.extension().is_some_and(|ext| ext == "idx"))
-            .expect("one idx sidecar");
+        let idx_path = only_file(&dir, "idx");
         let mut text = fs::read_to_string(&idx_path).unwrap();
         text.push_str("{\"digest\":\"bb\",\"segm");
         fs::write(&idx_path, text).unwrap();
         let reopened = PackedStore::open(&dir).unwrap();
         assert_eq!(reopened.load("aa").as_deref(), Some("payload-a"));
         assert!(reopened.load("bb").is_none(), "the torn entry misses");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Index lines written before payload checksums existed carry none.
+    /// They are skipped like torn lines, so their entries recompute once.
+    #[test]
+    fn index_lines_without_a_checksum_are_skipped() {
+        let dir = temp_store("no-checksum");
+        let store = PackedStore::open(&dir).unwrap();
+        store.store("aa", "payload-a").unwrap();
+        drop(store);
+        let idx = only_file(&dir, "idx");
+        let line = fs::read_to_string(&idx).unwrap();
+        let start = line.find(",\"checksum\"").expect("a checksum field");
+        let legacy = format!("{}}}\n", &line[..start]);
+        assert!(legacy.ends_with("\"len\":9}\n"), "{legacy}");
+        fs::write(&idx, legacy).unwrap();
+        let reopened = PackedStore::open(&dir).unwrap();
+        assert!(reopened.load("aa").is_none());
+        assert!(reopened.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A garbled length in an index line is a miss, not an attempt to
+    /// allocate that many bytes.
+    #[test]
+    fn a_garbled_span_length_misses() {
+        let dir = temp_store("garbled-len");
+        let store = PackedStore::open(&dir).unwrap();
+        store.store("aa", "payload-a").unwrap();
+        drop(store);
+        let idx = only_file(&dir, "idx");
+        let line = fs::read_to_string(&idx).unwrap();
+        let huge = line
+            .replace("\"aa\"", "\"zz\"")
+            .replace("\"len\":9", "\"len\":1000000000000000");
+        fs::write(&idx, format!("{line}{huge}")).unwrap();
+        let reopened = PackedStore::open(&dir).unwrap();
+        assert_eq!(reopened.len(), 2);
+        assert!(reopened.load("zz").is_none());
+        assert_eq!(reopened.load("aa").as_deref(), Some("payload-a"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A segment's read handle is opened on the first load and kept: the
+    /// entries stay readable through it after the file's name is gone.
+    #[cfg(unix)]
+    #[test]
+    fn loads_reuse_the_segment_read_handle() {
+        let dir = temp_store("handle");
+        let store = PackedStore::open(&dir).unwrap();
+        store.store("aa", "payload-a").unwrap();
+        store.store("bb", "payload-b").unwrap();
+        assert_eq!(store.load("aa").as_deref(), Some("payload-a"));
+        fs::remove_file(only_file(&dir, "pack")).unwrap();
+        assert_eq!(store.load("bb").as_deref(), Some("payload-b"));
+        assert_eq!(store.load("aa").as_deref(), Some("payload-a"));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -4,7 +4,10 @@
 use std::path::PathBuf;
 
 use ltrf_core::Organization;
-use ltrf_sweep::{run_sweep, ExecutorOptions, PointOutcome, SeedMode, SweepPoint, SweepSpec};
+use ltrf_sweep::{
+    point_key, run_sweep, ExecutorOptions, PointOutcome, ResultCache, SeedMode, SweepPoint,
+    SweepSpec,
+};
 
 /// A small campaign that still crosses two axes.
 fn small_spec(name: &str) -> SweepSpec {
@@ -89,6 +92,80 @@ fn warm_rerun_is_served_entirely_from_cache_with_identical_stats() {
     assert_eq!(forced.cached_count(), 0);
     for (cold_record, forced_record) in cold.records.iter().zip(&forced.records) {
         assert_eq!(cold_record.outcome, forced_record.outcome);
+    }
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// Bit rot inside a stored outcome: one digit of one point's outcome
+/// changes in the `.pack` file. The entry still parses and its key material
+/// still matches, so only the payload checksum can catch it. The point must
+/// miss and recompute, and no other point may.
+#[test]
+fn a_flipped_outcome_digit_is_a_miss_and_recomputes_exactly_that_point() {
+    let spec = small_spec("bit-rot");
+    let cache_dir = temp_dir("bit-rot");
+    let options = ExecutorOptions {
+        cache_dir: Some(cache_dir.clone()),
+        ..ExecutorOptions::default()
+    };
+    let cold = run_sweep(&spec, &options);
+    assert_eq!(cold.failure_count(), 0);
+
+    let victim = 1;
+    let key = point_key(&spec, &spec.points[victim]);
+    let segments = cache_dir.join("segments");
+    let pack = std::fs::read_dir(&segments)
+        .unwrap()
+        .filter_map(Result::ok)
+        .map(|entry| entry.path())
+        .find(|path| path.extension().is_some_and(|ext| ext == "pack"))
+        .expect("one pack segment");
+    let mut bytes = std::fs::read(&pack).unwrap();
+    let frame = format!("LTRF1 {} ", key.digest_hex);
+    let find = |haystack: &[u8], needle: &[u8], from: usize| {
+        from + haystack[from..]
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("needle present")
+    };
+    let outcome = find(&bytes, b"\"outcome\":", find(&bytes, frame.as_bytes(), 0));
+    // The first digit that starts a number value, not one inside a name.
+    let digit = outcome
+        + 1
+        + bytes[outcome..]
+            .windows(2)
+            .position(|w| w[0] == b':' && w[1].is_ascii_digit())
+            .expect("the outcome holds a number");
+    bytes[digit] = if bytes[digit] == b'9' {
+        b'8'
+    } else {
+        bytes[digit] + 1
+    };
+    std::fs::write(&pack, bytes).unwrap();
+
+    let cache = ResultCache::open(&cache_dir).unwrap();
+    assert!(
+        cache.load::<PointOutcome>(&key).is_none(),
+        "a corrupted outcome must miss"
+    );
+    for (index, point) in spec.points.iter().enumerate() {
+        if index != victim {
+            assert!(cache
+                .load::<PointOutcome>(&point_key(&spec, point))
+                .is_some());
+        }
+    }
+    drop(cache);
+
+    let warm = run_sweep(&spec, &options);
+    assert_eq!(
+        warm.computed_count(),
+        1,
+        "exactly the corrupted point recomputes"
+    );
+    assert!(!warm.records[victim].from_cache);
+    for (cold_record, warm_record) in cold.records.iter().zip(&warm.records) {
+        assert_eq!(cold_record.outcome, warm_record.outcome);
     }
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
