@@ -9,17 +9,31 @@
 //! low (8–30% in the paper's Figure 4), which is precisely why RFC cannot
 //! tolerate slow main register files.
 
-use std::collections::HashMap;
-
 use ltrf_isa::{ArchReg, BlockId, RegSet};
 use ltrf_sim::{BankArbiter, Cycle, RegFileTiming, RegisterFileModel, WarpId};
 use ltrf_tech::AccessCounts;
 
-/// One warp's private register-cache state (LRU over a handful of entries).
+/// One cached register of a warp.
+#[derive(Debug, Clone, Copy)]
+struct RfcEntry {
+    reg: ArchReg,
+    /// The tick of the last use. Every use takes a fresh tick, so the
+    /// ticks of a warp's entries are distinct and the LRU victim is unique.
+    tick: u64,
+    dirty: bool,
+}
+
+/// One warp's private register-cache state: at most `entries_per_warp`
+/// entries, searched linearly (LRU over a handful of entries).
 #[derive(Debug, Default)]
 struct RfcWarpState {
-    /// Cached registers mapped to their last-use tick and dirty bit.
-    entries: HashMap<ArchReg, (u64, bool)>,
+    entries: Vec<RfcEntry>,
+}
+
+impl RfcWarpState {
+    fn find(&self, reg: ArchReg) -> Option<usize> {
+        self.entries.iter().position(|e| e.reg == reg)
+    }
 }
 
 /// The demand-driven hardware register-file cache.
@@ -75,25 +89,24 @@ impl RfcRegisterFile {
     /// arbitrated against present-time reads).
     fn fill(&mut self, warp: WarpId, reg: ArchReg, dirty: bool) {
         self.tick += 1;
-        let capacity = self.entries_per_warp;
+        let tick = self.tick;
         let state = &mut self.warps[warp.index()];
-        if state.entries.len() >= capacity && !state.entries.contains_key(&reg) {
-            if let Some((&victim, &(_, victim_dirty))) =
-                state.entries.iter().min_by_key(|(_, &(t, _))| t)
-            {
-                state.entries.remove(&victim);
-                if victim_dirty {
-                    self.counts.rfc_reads += 1;
-                    self.counts.mrf_writes += 1;
-                }
+        if let Some(i) = state.find(reg) {
+            let entry = &mut state.entries[i];
+            entry.tick = tick;
+            entry.dirty |= dirty;
+            return;
+        }
+        if state.entries.len() >= self.entries_per_warp {
+            let victim = (0..state.entries.len())
+                .min_by_key(|&i| state.entries[i].tick)
+                .expect("a full cache has entries");
+            if state.entries.swap_remove(victim).dirty {
+                self.counts.rfc_reads += 1;
+                self.counts.mrf_writes += 1;
             }
         }
-        let entry = self.warps[warp.index()]
-            .entries
-            .entry(reg)
-            .or_insert((0, false));
-        entry.0 = self.tick;
-        entry.1 |= dirty;
+        state.entries.push(RfcEntry { reg, tick, dirty });
     }
 }
 
@@ -113,8 +126,8 @@ impl RegisterFileModel for RfcRegisterFile {
         // invalidate everything (the thrashing the paper describes).
         let dirty = self.warps[warp.index()]
             .entries
-            .values()
-            .filter(|&&(_, d)| d)
+            .iter()
+            .filter(|e| e.dirty)
             .count() as u64;
         self.counts.rfc_reads += dirty;
         self.counts.mrf_writes += dirty;
@@ -132,15 +145,11 @@ impl RegisterFileModel for RfcRegisterFile {
         }
         let mut ready = now;
         for reg in regs.iter() {
-            let cached = self.warps[warp.index()].entries.contains_key(&reg);
-            if cached {
+            if let Some(i) = self.warps[warp.index()].find(reg) {
                 self.hits += 1;
                 self.counts.rfc_reads += 1;
                 self.tick += 1;
-                let tick = self.tick;
-                if let Some(entry) = self.warps[warp.index()].entries.get_mut(&reg) {
-                    entry.0 = tick;
-                }
+                self.warps[warp.index()].entries[i].tick = self.tick;
                 let bank = self.cache_bank(reg);
                 ready = ready.max(self.cache.access(bank, now));
             } else {

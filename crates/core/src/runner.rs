@@ -409,43 +409,6 @@ fn finish_run(
     }
 }
 
-/// Runs the reference baseline the paper normalizes against: the conventional
-/// register file on configuration #1 with the 16 KB cache capacity folded
-/// into the main register file, simulated at the same SM count as the
-/// experiment being normalized.
-///
-/// # Errors
-///
-/// Never fails in practice (the baseline needs no compilation); the result is
-/// a `Result` for uniformity with [`run_experiment`].
-pub fn run_baseline_reference(
-    kernel: &Kernel,
-    memory: MemoryBehavior,
-    seed: u64,
-) -> Result<RunResult, CoreError> {
-    run_baseline_reference_at(kernel, memory, seed, 1)
-}
-
-/// [`run_baseline_reference`] at an explicit SM count (multi-SM experiments
-/// normalize against a baseline contending for the same shared memory).
-///
-/// # Errors
-///
-/// See [`run_baseline_reference`].
-pub fn run_baseline_reference_at(
-    kernel: &Kernel,
-    memory: MemoryBehavior,
-    seed: u64,
-    sm_count: usize,
-) -> Result<RunResult, CoreError> {
-    run_experiment(
-        kernel,
-        memory,
-        seed,
-        &ExperimentConfig::new(Organization::Baseline).with_sm_count(sm_count),
-    )
-}
-
 /// A pair of runs: an organization and the baseline it is normalized to.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NormalizedResult {
@@ -457,7 +420,44 @@ pub struct NormalizedResult {
     pub normalized_power: f64,
 }
 
-/// Runs `config` and normalizes it against the baseline reference on the same
+/// The configuration a point is normalized against — the one definition of
+/// the paper's reference: the conventional register file (BL) on
+/// configuration #1, with the 16 KB cache capacity folded into the main
+/// register file, on the point's machine. The reference keeps the point's
+/// SM count, interconnect and power calibration, so the numerator and the
+/// denominator contend for the same shared memory through the same network,
+/// and a `sweep power` recalibration moves both together.
+#[must_use]
+pub fn reference_config(config: &ExperimentConfig) -> ExperimentConfig {
+    ExperimentConfig::new(Organization::Baseline)
+        .with_sm_count(config.sm_count.max(1))
+        .with_power_params(config.power)
+        .with_interconnect(config.interconnect)
+}
+
+/// Normalizes `result` against `reference` (a run of
+/// [`reference_config`]): IPC and register-file power as ratios, zero when
+/// the reference's value is not positive.
+#[must_use]
+pub fn normalize(result: RunResult, reference: &RunResult) -> NormalizedResult {
+    let normalized_ipc = if reference.ipc > 0.0 {
+        result.ipc / reference.ipc
+    } else {
+        0.0
+    };
+    let normalized_power = if reference.power.average_power_mw > 0.0 {
+        result.power.average_power_mw / reference.power.average_power_mw
+    } else {
+        0.0
+    };
+    NormalizedResult {
+        result,
+        normalized_ipc,
+        normalized_power,
+    }
+}
+
+/// Runs `config` and normalizes it against [`reference_config`] on the same
 /// kernel, memory behaviour, and seed.
 ///
 /// # Errors
@@ -469,33 +469,9 @@ pub fn run_normalized(
     seed: u64,
     config: &ExperimentConfig,
 ) -> Result<NormalizedResult, CoreError> {
-    // The reference runs at the same SM count *and* under the same
-    // power-model calibration, so a `sweep power` recalibration moves the
-    // numerator and the denominator together.
-    let baseline = run_experiment(
-        kernel,
-        memory,
-        seed,
-        &ExperimentConfig::new(Organization::Baseline)
-            .with_sm_count(config.sm_count.max(1))
-            .with_power_params(config.power),
-    )?;
+    let reference = run_experiment(kernel, memory, seed, &reference_config(config))?;
     let result = run_experiment(kernel, memory, seed, config)?;
-    let normalized_ipc = if baseline.ipc > 0.0 {
-        result.ipc / baseline.ipc
-    } else {
-        0.0
-    };
-    let normalized_power = if baseline.power.average_power_mw > 0.0 {
-        result.power.average_power_mw / baseline.power.average_power_mw
-    } else {
-        0.0
-    };
-    Ok(NormalizedResult {
-        result,
-        normalized_ipc,
-        normalized_power,
-    })
+    Ok(normalize(result, &reference))
 }
 
 #[cfg(test)]
@@ -702,6 +678,44 @@ mod tests {
         assert!(normalized.normalized_ipc > 0.0);
         assert!(normalized.normalized_power > 0.0);
         assert_eq!(normalized.result.gpu.as_ref().unwrap().sm_count, 2);
+    }
+
+    #[test]
+    fn normalization_divides_by_the_baseline_on_the_same_network() {
+        use ltrf_sim::Topology;
+        let kernel = test_kernel();
+        let memory = MemoryBehavior::streaming();
+        let crossbar = InterconnectConfig {
+            topology: Topology::Crossbar,
+            ..InterconnectConfig::default()
+        };
+        let config = ExperimentConfig::for_table2(Organization::Ltrf, 6)
+            .with_sm_count(4)
+            .with_interconnect(crossbar);
+        let reference = reference_config(&config);
+        assert_eq!(reference.interconnect, crossbar);
+        assert_eq!(reference.sm_count, 4);
+        let baseline = run_experiment(&kernel, memory, 5, &reference).unwrap();
+        let ideal_baseline = run_experiment(
+            &kernel,
+            memory,
+            5,
+            &ExperimentConfig::new(Organization::Baseline).with_sm_count(4),
+        )
+        .unwrap();
+        assert_ne!(
+            baseline.ipc, ideal_baseline.ipc,
+            "the crossbar must change the baseline for this test to mean anything"
+        );
+        let normalized = run_normalized(&kernel, memory, 5, &config).unwrap();
+        assert_eq!(
+            normalized.normalized_ipc,
+            normalized.result.ipc / baseline.ipc
+        );
+        assert_eq!(
+            normalized.normalized_power,
+            normalized.result.power.average_power_mw / baseline.power.average_power_mw
+        );
     }
 
     #[test]

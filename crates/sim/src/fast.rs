@@ -34,7 +34,9 @@
 //! event-driven core.
 
 use ltrf_isa::trace::BranchRng;
-use ltrf_isa::{ArchReg, BlockId, BranchBehavior, Kernel, Opcode, OpcodeClass, RegSet, Terminator};
+use ltrf_isa::{
+    ArchReg, BlockId, BranchBehavior, Instruction, Kernel, Opcode, OpcodeClass, RegSet, Terminator,
+};
 
 use crate::config::SmConfig;
 use crate::driver::SmEngine;
@@ -46,14 +48,20 @@ use crate::types::{Cycle, WarpId};
 use crate::wakeup::WakeupQueue;
 use crate::warp::WarpStatus;
 
-/// One pre-decoded static instruction: everything `try_issue` needs, with
-/// the operand `RegSet`s materialized once instead of per dynamic execution.
+/// One pre-decoded static instruction: what `try_issue` reads on every
+/// attempt, in 16 bytes. The operand `RegSet`s the register-file model
+/// takes are materialized once, in side arrays of [`DecodedKernel`], and
+/// read only when an instruction issues.
 #[derive(Debug, Clone, Copy)]
 struct DecodedInst {
     opcode: Opcode,
     dst: Option<ArchReg>,
-    reads: RegSet,
-    dying: RegSet,
+    /// The scoreboard columns the hazard check reads: the distinct sources
+    /// and the destination, padded with the never-written column
+    /// [`DecodedKernel::nregs`], so the check is a fixed, branch-free max.
+    hazard_columns: [u16; Instruction::MAX_SOURCES + 1],
+    /// Whether any source operand dies at this instruction.
+    has_dying: bool,
     is_global_mem: bool,
 }
 
@@ -65,12 +73,17 @@ struct DecodedKernel {
     entry: u32,
     nblocks: usize,
     /// One past the highest register index any instruction touches (at
-    /// least 1), the stride of the per-warp scoreboard rows.
+    /// least 1). Scoreboard rows have one more column, `nregs` itself,
+    /// which no instruction writes: it pads the hazard columns.
     nregs: usize,
     block_start: Vec<u32>,
     block_len: Vec<u32>,
     terminators: Vec<Option<Terminator>>,
     insts: Vec<DecodedInst>,
+    /// Per instruction, the registers it reads (the model's operand set).
+    reads: Vec<RegSet>,
+    /// Per instruction, the source registers read for the last time.
+    dying: Vec<RegSet>,
 }
 
 impl DecodedKernel {
@@ -79,8 +92,18 @@ impl DecodedKernel {
         let mut block_start = vec![0u32; nblocks];
         let mut block_len = vec![0u32; nblocks];
         let mut terminators: Vec<Option<Terminator>> = vec![None; nblocks];
-        let mut insts = Vec::with_capacity(kernel.cfg.static_instruction_count());
-        let mut max_reg = 0usize;
+        let count = kernel.cfg.static_instruction_count();
+        let mut insts = Vec::with_capacity(count);
+        let mut all_reads = Vec::with_capacity(count);
+        let mut all_dying = Vec::with_capacity(count);
+        let nregs = kernel
+            .cfg
+            .blocks()
+            .flat_map(|block| block.instructions())
+            .flat_map(|inst| inst.reads().iter().chain(inst.dst()))
+            .map(|r| r.index() + 1)
+            .max()
+            .unwrap_or(1);
         for block in kernel.cfg.blocks() {
             let b = block.id().index();
             block_start[b] = insts.len() as u32;
@@ -88,19 +111,18 @@ impl DecodedKernel {
             terminators[b] = block.terminator().copied();
             for inst in block.instructions() {
                 let reads = inst.reads();
+                let dying = inst.dying_registers();
                 let dst = inst.dst();
-                for r in reads.iter() {
-                    max_reg = max_reg.max(r.index());
-                }
-                if let Some(d) = dst {
-                    max_reg = max_reg.max(d.index());
+                let mut hazard_columns = [nregs as u16; Instruction::MAX_SOURCES + 1];
+                for (column, r) in hazard_columns.iter_mut().zip(reads.iter().chain(dst)) {
+                    *column = r.index() as u16;
                 }
                 let opcode = inst.opcode();
                 insts.push(DecodedInst {
                     opcode,
                     dst,
-                    reads,
-                    dying: inst.dying_registers(),
+                    hazard_columns,
+                    has_dying: !dying.is_empty(),
                     is_global_mem: matches!(
                         opcode,
                         Opcode::LoadGlobal
@@ -109,16 +131,20 @@ impl DecodedKernel {
                             | Opcode::StoreLocal
                     ),
                 });
+                all_reads.push(reads);
+                all_dying.push(dying);
             }
         }
         DecodedKernel {
             entry: kernel.cfg.entry().0,
             nblocks,
-            nregs: max_reg + 1,
+            nregs,
             block_start,
             block_len,
             terminators,
             insts,
+            reads: all_reads,
+            dying: all_dying,
         }
     }
 }
@@ -139,7 +165,7 @@ pub(crate) struct FastEngine<'a> {
     block: Vec<u32>,
     pc: Vec<u32>,
     rngs: Vec<BranchRng>,
-    /// Flat scoreboard, `warps x nregs`: the cycle at which the latest
+    /// Flat scoreboard, `warps x (nregs + 1)`: the cycle at which the latest
     /// pending write of the register becomes visible. A value at or before
     /// the current cycle means "no pending write".
     reg_ready: Vec<Cycle>,
@@ -239,20 +265,19 @@ impl<'a> FastEngine<'a> {
 
         // Fetch the pre-decoded instruction.
         let b = self.block[w] as usize;
-        let inst = self.code.insts[(self.code.block_start[b] + self.pc[w]) as usize];
+        let at = (self.code.block_start[b] + self.pc[w]) as usize;
+        let inst = self.code.insts[at];
 
         // Scoreboard check, batched: if the warp's latest pending write is
         // already visible there can be no hazard; otherwise walk the
         // instruction's registers in the flat matrix.
-        let base = w * self.code.nregs;
+        let base = w * (self.code.nregs + 1);
         if self.max_pending[w] > cycle {
-            let mut hazard_until: Cycle = 0;
-            for r in inst.reads.iter() {
-                hazard_until = hazard_until.max(self.reg_ready[base + r.index()]);
-            }
-            if let Some(d) = inst.dst {
-                hazard_until = hazard_until.max(self.reg_ready[base + d.index()]);
-            }
+            let row = &self.reg_ready[base..base + self.code.nregs + 1];
+            let hazard_until = inst
+                .hazard_columns
+                .iter()
+                .fold(0, |until, &c| until.max(row[usize::from(c)]));
             if hazard_until > cycle {
                 self.status[w] = WarpStatus::StalledUntil(hazard_until.max(cycle + 1));
                 return false;
@@ -274,10 +299,12 @@ impl<'a> FastEngine<'a> {
         }
 
         // Gather operands through the register-file organization.
-        let operands_ready = self.regfile.read_operands(warp_id, &inst.reads, cycle);
+        let operands_ready = self
+            .regfile
+            .read_operands(warp_id, &self.code.reads[at], cycle);
         self.collectors[collector] = operands_ready;
-        if !inst.dying.is_empty() {
-            self.regfile.operands_dead(warp_id, &inst.dying);
+        if inst.has_dying {
+            self.regfile.operands_dead(warp_id, &self.code.dying[at]);
         }
 
         // Execute.
@@ -422,7 +449,7 @@ impl<'a> SmEngine<'a> for FastEngine<'a> {
             block: vec![code.entry; n],
             pc: vec![0; n],
             rngs: warp_seeds.iter().map(|&s| BranchRng::new(s)).collect(),
-            reg_ready: vec![0; n * code.nregs],
+            reg_ready: vec![0; n * (code.nregs + 1)],
             max_pending: vec![0; n],
             loop_left: vec![u32::MAX; n * code.nblocks],
             code,
@@ -646,5 +673,6 @@ mod tests {
         assert_eq!(code.nregs, 6, "r0..r5 written");
         assert_eq!(code.entry, workload.kernel.cfg.entry().0);
         assert!(code.terminators[code.entry as usize].is_some());
+        assert_eq!(std::mem::size_of::<DecodedInst>(), 16);
     }
 }

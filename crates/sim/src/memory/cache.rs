@@ -44,8 +44,10 @@ pub struct Cache {
     sets: usize,
     ways: usize,
     line_bytes: u64,
-    /// tag storage: `sets × ways`, `None` = invalid.
-    tags: Vec<Option<u64>>,
+    /// Tag storage, `sets × ways`: a valid way holds its tag plus one, and
+    /// 0 marks an invalid way. Lines are at least two bytes, so a tag is at
+    /// most `u64::MAX / 2` and `tag + 1` never overflows.
+    tags: Vec<u64>,
     /// LRU counters parallel to `tags` (larger = more recently used).
     lru: Vec<u64>,
     tick: u64,
@@ -58,10 +60,11 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not divide evenly or is zero-sized.
+    /// Panics if the geometry does not divide evenly, is zero-sized, or has
+    /// lines shorter than two bytes.
     #[must_use]
     pub fn new(capacity_bytes: u64, ways: usize, line_bytes: u64) -> Self {
-        assert!(capacity_bytes > 0 && ways > 0 && line_bytes > 0);
+        assert!(capacity_bytes > 0 && ways > 0 && line_bytes > 1);
         let lines = capacity_bytes / line_bytes;
         assert!(
             (lines as usize).is_multiple_of(ways),
@@ -73,7 +76,7 @@ impl Cache {
             sets,
             ways,
             line_bytes,
-            tags: vec![None; sets * ways],
+            tags: vec![0; sets * ways],
             lru: vec![0; sets * ways],
             tick: 0,
             stats: CacheStats::default(),
@@ -91,11 +94,11 @@ impl Cache {
         self.tick += 1;
         let line = address / self.line_bytes;
         let set = (line % self.sets as u64) as usize;
-        let tag = line / self.sets as u64;
+        let stored = line / self.sets as u64 + 1;
         let base = set * self.ways;
         // Hit?
         for way in 0..self.ways {
-            if self.tags[base + way] == Some(tag) {
+            if self.tags[base + way] == stored {
                 self.lru[base + way] = self.tick;
                 self.stats.hits += 1;
                 return CacheOutcome::Hit;
@@ -105,7 +108,7 @@ impl Cache {
         self.stats.misses += 1;
         let mut victim = base;
         for way in 0..self.ways {
-            if self.tags[base + way].is_none() {
+            if self.tags[base + way] == 0 {
                 victim = base + way;
                 break;
             }
@@ -113,7 +116,7 @@ impl Cache {
                 victim = base + way;
             }
         }
-        self.tags[victim] = Some(tag);
+        self.tags[victim] = stored;
         self.lru[victim] = self.tick;
         CacheOutcome::Miss
     }

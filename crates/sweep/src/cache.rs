@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize, Value};
 
-use ltrf_core::ExperimentConfig;
+use ltrf_core::{ExperimentConfig, InterconnectConfig};
 
 use crate::hash::{digest_to_seed, sha256, to_hex};
 use crate::packed::PackedStore;
@@ -95,6 +95,20 @@ pub fn point_key(spec: &SweepSpec, point: &SweepPoint) -> PointKey {
             ExperimentConfig::cache_key_value(&point.config),
         ),
     ];
+    // Normalized multi-SM points on a non-default network were once divided
+    // by a reference on the ideal network; they now normalize against the
+    // same network (`ltrf_core::reference_config`). The marker makes their
+    // old outcomes miss while every other key stays byte-identical. At one
+    // SM the network is not simulated, so those outcomes stand unmarked.
+    if spec.normalize
+        && point.config.sm_count > 1
+        && point.config.interconnect != InterconnectConfig::default()
+    {
+        fields.push((
+            "reference".to_string(),
+            Value::Str("same-interconnect".to_string()),
+        ));
+    }
     if let Some(generated) = &point.generated {
         fields.push(("generated".to_string(), Serialize::to_value(generated)));
     }
@@ -218,6 +232,36 @@ mod tests {
         assert_ne!(a1.digest_hex, b.digest_hex);
         assert_ne!(a1.seed, b.seed, "per-point seeds decorrelate points");
         assert_eq!(a1.digest_hex.len(), 64);
+    }
+
+    #[test]
+    fn only_normalized_points_on_a_non_default_network_carry_the_reference_marker() {
+        let crossbar = InterconnectConfig {
+            topology: ltrf_core::Topology::Crossbar,
+            ..InterconnectConfig::default()
+        };
+        let build_at = |sm_count: usize, normalize: bool, interconnect: InterconnectConfig| {
+            SweepSpec::builder("marker")
+                .workloads(["hotspot"])
+                .sm_counts([sm_count])
+                .interconnect(interconnect)
+                .normalize(normalize)
+                .build()
+        };
+        let build = |normalize: bool, interconnect: InterconnectConfig| {
+            build_at(4, normalize, interconnect)
+        };
+        let marked = |spec: &SweepSpec| {
+            point_key(spec, &spec.points[0])
+                .material
+                .contains("\"reference\":\"same-interconnect\"")
+        };
+        assert!(marked(&build(true, crossbar)));
+        assert!(!marked(&build(false, crossbar)));
+        assert!(!marked(&build(true, InterconnectConfig::default())));
+        assert!(!marked(&build(false, InterconnectConfig::default())));
+        // At one SM the network is not simulated: the outcome stands.
+        assert!(!marked(&build_at(1, true, crossbar)));
     }
 
     #[test]

@@ -32,13 +32,16 @@ use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize, Value};
 
-use ltrf_core::{run_experiment, run_normalized, RunResult};
+use ltrf_core::{normalize, reference_config, run_experiment, ExperimentConfig, RunResult};
+use ltrf_isa::Kernel;
+use ltrf_sim::MemoryBehavior;
 use ltrf_workloads::{evaluated_suite, Workload};
 
 use crate::cache::{point_key, PointKey, ResultCache};
 use crate::journal::{CampaignJournal, JournalSnapshot};
-use crate::pool::{panic_message, parallel_map};
-use crate::spec::{SweepPoint, SweepSpec};
+use crate::pool::{default_threads, panic_message, parallel_map, parallel_map_units};
+use crate::reference::{reference_identity, ReferenceMemo};
+use crate::spec::{SeedMode, SweepPoint, SweepSpec};
 
 /// The data produced by a successfully evaluated point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -778,23 +781,39 @@ impl CampaignObserver for EventSender {
 ///
 /// This is the engine's primary execution API; the batch [`run_sweep`] call
 /// is `CampaignSession::new(spec, options).run(&Unobserved)`.
-#[derive(Debug, Clone, Copy)]
+///
+/// A session simulates each normalization reference once: points that
+/// divide by the same BL run share it through the session's reference memo
+/// (see DESIGN.md, "Normalization reference"). The memo lives exactly as
+/// long as the session, so a new session always starts cold.
+#[derive(Debug)]
 pub struct CampaignSession<'a> {
     spec: &'a SweepSpec,
     options: &'a ExecutorOptions,
+    references: ReferenceMemo,
 }
 
 impl<'a> CampaignSession<'a> {
     /// Binds a spec to its execution options.
     #[must_use]
     pub fn new(spec: &'a SweepSpec, options: &'a ExecutorOptions) -> Self {
-        CampaignSession { spec, options }
+        CampaignSession {
+            spec,
+            options,
+            references: ReferenceMemo::default(),
+        }
     }
 
     /// The spec this session runs.
     #[must_use]
     pub fn spec(&self) -> &SweepSpec {
         self.spec
+    }
+
+    /// How many normalization references this session has simulated.
+    #[must_use]
+    pub fn reference_runs(&self) -> usize {
+        self.references.runs()
     }
 
     /// Runs the campaign, streaming [`CampaignEvent`]s to `observer`.
@@ -906,7 +925,12 @@ impl<'a> CampaignSession<'a> {
             points: spec.points.len(),
         });
 
-        let outcomes = parallel_map(&spec.points, options.threads, |index, point| {
+        let threads = options.threads.unwrap_or_else(default_threads);
+        let units = reference_units(spec, threads);
+        // A worker hands back its record boxed (and only when retaining), so
+        // the pool keeps a pointer-sized slot per point, not a whole record:
+        // at 10k points the inline slots alone were a 10 MB buffer.
+        let outcomes = parallel_map_units(&spec.points, &units, Some(threads), |index, point| {
             observer.on_event(&CampaignEvent::PointStarted {
                 index,
                 workload: point.workload.clone(),
@@ -938,7 +962,7 @@ impl<'a> CampaignSession<'a> {
                         coalesced: false,
                         failed: record.outcome.is_failure(),
                     };
-                    return (retain.then_some(record), tally);
+                    return (retain.then(|| Box::new(record)), tally);
                 }
                 // Journaled but no longer in the cache (e.g. killed between
                 // the journal append and the cache store): fall through and
@@ -966,7 +990,7 @@ impl<'a> CampaignSession<'a> {
                     coalesced: false,
                     failed: true,
                 };
-                return (retain.then_some(record), tally);
+                return (retain.then(|| Box::new(record)), tally);
             }
 
             let cached = if options.force_recompute {
@@ -1008,7 +1032,13 @@ impl<'a> CampaignSession<'a> {
                                     outcome
                                 }
                                 None => {
-                                    let outcome = evaluate_point(spec, point, &suite, key.seed);
+                                    let outcome = evaluate_point(
+                                        spec,
+                                        point,
+                                        &suite,
+                                        key.seed,
+                                        &self.references,
+                                    );
                                     // Only successes are cached: failures may
                                     // be transient (and must stay visible on
                                     // every run until fixed).
@@ -1092,7 +1122,7 @@ impl<'a> CampaignSession<'a> {
                 coalesced,
                 failed: record.outcome.is_failure(),
             };
-            (retain.then_some(record), tally)
+            (retain.then(|| Box::new(record)), tally)
         });
 
         let mut totals = CampaignTotals {
@@ -1124,7 +1154,7 @@ impl<'a> CampaignSession<'a> {
                     coalesced: false,
                     failed: true,
                 };
-                (retain.then_some(record), tally)
+                (retain.then(|| Box::new(record)), tally)
             });
             if tally.cached {
                 totals.cached += 1;
@@ -1142,7 +1172,7 @@ impl<'a> CampaignSession<'a> {
                 hit_records += 1;
             }
             if let Some(record) = record {
-                records.push(record);
+                records.push(*record);
             }
         }
         totals.hit_rate = if totals.points == 0 {
@@ -1201,6 +1231,62 @@ fn make_record(
     }
 }
 
+/// The units workers claim (see [`parallel_map_units`]): runs of
+/// consecutive points that divide by the same normalization reference, so
+/// one worker simulates the reference and the rest of its unit reuses it
+/// without waiting on another worker. Units are capped at a quarter of each
+/// worker's share so the workers still balance. Without normalization, or
+/// with per-point seeds (every point its own reference), every point is a
+/// unit of its own.
+fn reference_units(spec: &SweepSpec, threads: usize) -> Vec<usize> {
+    let points = &spec.points;
+    let shared = spec.normalize && matches!(spec.seed_mode, SeedMode::Fixed(_));
+    let cap = (points.len() / (threads.max(1) * 4)).max(1);
+    let mut starts = Vec::new();
+    for (i, point) in points.iter().enumerate() {
+        let joins = shared
+            && i > 0
+            && i - starts.last().copied().unwrap_or(0) < cap
+            && same_reference(&points[i - 1], point);
+        if !joins {
+            starts.push(i);
+        }
+    }
+    starts
+}
+
+/// Whether two points of a fixed-seed normalized spec divide by the same
+/// reference run.
+fn same_reference(a: &SweepPoint, b: &SweepPoint) -> bool {
+    a.workload == b.workload
+        && a.generated == b.generated
+        && a.trace == b.trace
+        && a.memory == b.memory
+        && reference_config(&a.config) == reference_config(&b.config)
+}
+
+/// Whether a run stopped at the safety cycle cap before every warp
+/// finished.
+fn truncated(run: &RunResult) -> bool {
+    run.stats.truncated || run.gpu.as_ref().is_some_and(|gpu| gpu.truncated)
+}
+
+/// Classifies an evaluated point: its data, unless its run or its
+/// normalization reference was cut off by the safety cycle cap. A partial
+/// run is never reported (or cached) as a result.
+fn classify(data: PointData, reference: Option<&RunResult>, max_cycles: u64) -> PointOutcome {
+    let cut_off = if truncated(&data.result) {
+        "the simulation"
+    } else if reference.is_some_and(truncated) {
+        "the BL reference run"
+    } else {
+        return PointOutcome::Ok(data);
+    };
+    PointOutcome::Error(format!(
+        "{cut_off} hit the {max_cycles}-cycle safety cap before every warp finished"
+    ))
+}
+
 /// Evaluates one point, converting panics into [`PointOutcome::Panicked`].
 ///
 /// Suite points resolve their workload by name against the evaluated suite;
@@ -1211,13 +1297,19 @@ fn make_record(
 /// point's [`TraceWorkloadId`](ltrf_trace::TraceWorkloadId) (a missing,
 /// edited, or malformed trace file becomes a typed per-point error, not a
 /// campaign failure). Everything downstream — the runner, normalization
-/// against the baseline at the same SM count, and power reporting — is
-/// identical for all three.
+/// against [`reference_config`], and power reporting — is identical for all
+/// three.
+///
+/// A normalized point runs its own organization first and then takes its
+/// reference from `references`, so it seldom waits on a reference another
+/// worker is still simulating. A point whose configuration is its own
+/// reference publishes its run as the reference.
 fn evaluate_point(
     spec: &SweepSpec,
     point: &SweepPoint,
     suite: &HashMap<&str, Workload>,
     seed: u64,
+    references: &ReferenceMemo,
 ) -> PointOutcome {
     let traced = match point
         .trace
@@ -1242,25 +1334,67 @@ fn evaluate_point(
     };
     let memory = point.memory.behavior(workload);
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if spec.normalize {
-            run_normalized(&workload.kernel, memory, seed, &point.config).map(|n| PointData {
-                result: n.result,
-                normalized_ipc: Some(n.normalized_ipc),
-                normalized_power: Some(n.normalized_power),
-            })
-        } else {
-            run_experiment(&workload.kernel, memory, seed, &point.config).map(|r| PointData {
-                result: r,
-                normalized_ipc: None,
-                normalized_power: None,
-            })
-        }
+        simulate_point(
+            spec.normalize,
+            point,
+            &workload.kernel,
+            memory,
+            seed,
+            references,
+        )
     }));
     match run {
-        Ok(Ok(data)) => PointOutcome::Ok(data),
-        Ok(Err(core_err)) => PointOutcome::Error(core_err.to_string()),
+        Ok(Ok((data, reference))) => classify(
+            data,
+            reference.as_deref(),
+            point.config.sm_config().max_cycles,
+        ),
+        Ok(Err(failure)) => *failure,
         Err(payload) => PointOutcome::Panicked(panic_message(payload)),
     }
+}
+
+/// Simulates a point and, when it is normalized, takes its reference from
+/// `references`. Returns the point's data and the reference run it was
+/// divided by.
+fn simulate_point(
+    normalized: bool,
+    point: &SweepPoint,
+    kernel: &Kernel,
+    memory: MemoryBehavior,
+    seed: u64,
+    references: &ReferenceMemo,
+) -> Result<(PointData, Option<Arc<RunResult>>), Box<PointOutcome>> {
+    let simulate = |config: &ExperimentConfig| {
+        run_experiment(kernel, memory, seed, config)
+            .map_err(|e| Box::new(PointOutcome::Error(e.to_string())))
+    };
+    let config = &point.config;
+    if !normalized {
+        let data = PointData {
+            result: simulate(config)?,
+            normalized_ipc: None,
+            normalized_power: None,
+        };
+        return Ok((data, None));
+    }
+    let reference = reference_config(config);
+    let identity = reference_identity(point, &memory, seed, &reference);
+    let (result, reference_run) = if *config == reference {
+        let run = references.get_or_run(&identity, || simulate(&reference))?;
+        (RunResult::clone(&run), run)
+    } else {
+        let result = simulate(config)?;
+        let run = references.get_or_run(&identity, || simulate(&reference))?;
+        (result, run)
+    };
+    let normalized = normalize(result, &reference_run);
+    let data = PointData {
+        result: normalized.result,
+        normalized_ipc: Some(normalized.normalized_ipc),
+        normalized_power: Some(normalized.normalized_power),
+    };
+    Ok((data, Some(reference_run)))
 }
 
 /// Order-preserving parallel map over arbitrary items with panic isolation:
@@ -1279,7 +1413,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::SeedMode;
+    use crate::reference::ReferenceOutcome;
 
     /// An empty campaign must report a 0.0 hit rate, not NaN: the vendored
     /// serde stand-in renders floats with `{:?}`, so a NaN flowing into
@@ -1330,6 +1464,182 @@ mod tests {
         assert_eq!(totals.points, 0);
         assert!(totals.hit_rate.is_finite());
         assert_eq!(totals.hit_rate, 0.0);
+    }
+
+    /// A run with the given truncation flags on its own statistics and on
+    /// its whole-GPU statistics.
+    fn run_result(truncated: bool, gpu_truncated: Option<bool>) -> RunResult {
+        RunResult {
+            organization: ltrf_core::Organization::Baseline,
+            stats: ltrf_sim::SimStats {
+                truncated,
+                ..ltrf_sim::SimStats::default()
+            },
+            gpu: gpu_truncated.map(|truncated| ltrf_sim::GpuStats {
+                sm_count: 1,
+                cycles: 1,
+                instructions: 1,
+                per_sm: Vec::new(),
+                ctas_per_sm: Vec::new(),
+                ctas_launched: 1,
+                ctas_dispatched: 1,
+                l2: Default::default(),
+                dram: Default::default(),
+                l2_queue_wait_cycles: 0,
+                l2_slice_wait_min: 0,
+                l2_slice_wait_max: 0,
+                noc: Default::default(),
+                truncated,
+            }),
+            ipc: 1.0,
+            power: ltrf_tech::PowerBreakdown::default(),
+            cache_hit_rate: None,
+        }
+    }
+
+    fn data(result: RunResult) -> PointData {
+        PointData {
+            result,
+            normalized_ipc: Some(1.0),
+            normalized_power: Some(1.0),
+        }
+    }
+
+    #[test]
+    fn truncated_runs_and_references_are_errors_naming_the_cap() {
+        let complete = run_result(false, Some(false));
+        assert!(matches!(
+            classify(data(complete.clone()), Some(&complete), 7),
+            PointOutcome::Ok(_)
+        ));
+        for (run, reference) in [
+            (run_result(true, None), complete.clone()),
+            (run_result(false, Some(true)), complete.clone()),
+            (complete.clone(), run_result(true, None)),
+            (complete.clone(), run_result(false, Some(true))),
+        ] {
+            let PointOutcome::Error(error) = classify(data(run), Some(&reference), 50_000_000)
+            else {
+                panic!("a truncated run must be an error");
+            };
+            assert!(error.contains("50000000-cycle safety cap"), "{error}");
+        }
+        let PointOutcome::Error(error) = classify(data(run_result(true, None)), None, 9) else {
+            panic!("an un-normalized truncated run is an error too");
+        };
+        assert!(
+            error.starts_with("the simulation hit the 9-cycle"),
+            "{error}"
+        );
+    }
+
+    /// A small normalized spec: two organizations of one quick workload,
+    /// which share one reference.
+    fn shared_reference_spec() -> SweepSpec {
+        SweepSpec::builder("shared-reference")
+            .workloads(["btree"])
+            .organizations([ltrf_core::Organization::Ideal, ltrf_core::Organization::Rfc])
+            .config_ids([6])
+            .seed_mode(SeedMode::Fixed(5))
+            .normalize(true)
+            .build()
+    }
+
+    /// Memoizes `outcome` as the reference of every point of `spec`.
+    fn prefill(session: &CampaignSession<'_>, spec: &SweepSpec, outcome: &ReferenceOutcome) {
+        let suite = evaluated_suite();
+        for point in &spec.points {
+            let workload = suite.iter().find(|w| w.name() == point.workload).unwrap();
+            let memory = point.memory.behavior(workload);
+            let seed = point_key(spec, point).seed;
+            let identity =
+                reference_identity(point, &memory, seed, &reference_config(&point.config));
+            session.references.insert(&identity, outcome.clone());
+        }
+    }
+
+    fn temp_cache(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ltrf-executor-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn a_truncated_reference_fails_its_points_and_nothing_is_stored() {
+        let spec = shared_reference_spec();
+        let dir = temp_cache("truncated");
+        let options = ExecutorOptions {
+            threads: Some(2),
+            cache_dir: Some(dir.clone()),
+            ..ExecutorOptions::default()
+        };
+        let session = CampaignSession::new(&spec, &options);
+        prefill(&session, &spec, &Ok(Arc::new(run_result(true, None))));
+        let results = session.run(&Unobserved);
+        assert_eq!(
+            session.reference_runs(),
+            0,
+            "the reference came from the memo"
+        );
+        for record in &results.records {
+            let PointOutcome::Error(error) = &record.outcome else {
+                panic!("expected a truncation error, got {:?}", record.outcome);
+            };
+            assert!(error.starts_with("the BL reference run hit the"), "{error}");
+        }
+        assert!(ResultCache::open(&dir).unwrap().is_empty(), "never stored");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicked_reference_fails_every_dependent_point_without_caching() {
+        let spec = shared_reference_spec();
+        let dir = temp_cache("panicked");
+        let options = ExecutorOptions {
+            threads: Some(2),
+            cache_dir: Some(dir.clone()),
+            ..ExecutorOptions::default()
+        };
+        let session = CampaignSession::new(&spec, &options);
+        let failure = PointOutcome::Panicked("reference exploded".to_string());
+        prefill(&session, &spec, &Err(Box::new(failure.clone())));
+        let results = session.run(&Unobserved);
+        assert_eq!(results.records.len(), 2);
+        for record in &results.records {
+            assert_eq!(record.outcome, failure);
+        }
+        assert!(ResultCache::open(&dir).unwrap().is_empty(), "never stored");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn units_group_points_that_share_a_reference() {
+        let spec = shared_reference_spec();
+        assert_eq!(reference_units(&spec, 1), vec![0, 1]);
+        let long = SweepSpec::builder("long")
+            .workloads(["btree", "histo"])
+            .organizations([
+                ltrf_core::Organization::Ideal,
+                ltrf_core::Organization::Rfc,
+                ltrf_core::Organization::Ltrf,
+            ])
+            .config_ids([6, 7])
+            .seed_mode(SeedMode::Fixed(5))
+            .normalize(true)
+            .build();
+        // 12 points, 6 per workload; one worker may take units of 3.
+        assert_eq!(reference_units(&long, 1), vec![0, 3, 6, 9]);
+        // Per-point seeds or no normalization: every point is its own unit.
+        let per_point = SweepSpec {
+            seed_mode: SeedMode::PerPoint(5),
+            ..long.clone()
+        };
+        assert_eq!(reference_units(&per_point, 1), (0..12).collect::<Vec<_>>());
+        let plain = SweepSpec {
+            normalize: false,
+            ..long
+        };
+        assert_eq!(reference_units(&plain, 1), (0..12).collect::<Vec<_>>());
     }
 
     /// `PointMeans::over` is the [`PointMeansAcc`] fold applied to an

@@ -94,6 +94,7 @@ pub mod hash;
 pub mod journal;
 pub mod packed;
 pub mod pool;
+mod reference;
 pub mod report;
 pub mod serve;
 pub mod spec;

@@ -42,23 +42,46 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    let units: Vec<usize> = (0..items.len()).collect();
+    parallel_map_units(items, &units, threads, f)
+}
+
+/// [`parallel_map`] over units of consecutive items: `unit_starts` holds
+/// the index of each unit's first item in ascending order (the first is
+/// 0), and a worker claims a whole unit and maps its items in order. Each
+/// item is still panic-isolated on its own.
+pub(crate) fn parallel_map_units<T, R, F>(
+    items: &[T],
+    unit_starts: &[usize],
+    threads: Option<usize>,
+    f: F,
+) -> Vec<Result<R, String>>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
     let n = items.len();
     if n == 0 {
         return Vec::new();
     }
-    let workers = threads.unwrap_or_else(default_threads).clamp(1, n);
+    let units = unit_starts.len();
+    let workers = threads.unwrap_or_else(default_threads).clamp(1, units);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<R, String>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
+                let unit = next.fetch_add(1, Ordering::Relaxed);
+                if unit >= units {
                     break;
                 }
-                let outcome =
-                    catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))).map_err(panic_message);
-                *slots[i].lock().expect("result slot lock") = Some(outcome);
+                let end = unit_starts.get(unit + 1).copied().unwrap_or(n);
+                for i in unit_starts[unit]..end {
+                    let outcome =
+                        catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))).map_err(panic_message);
+                    *slots[i].lock().expect("result slot lock") = Some(outcome);
+                }
             });
         }
     });
@@ -101,6 +124,25 @@ mod tests {
                 assert_eq!(*result.as_ref().unwrap(), i as u32 + 1);
             }
         }
+    }
+
+    #[test]
+    fn units_keep_order_and_isolate_panics() {
+        let items: Vec<u32> = (0..10).collect();
+        let out = parallel_map_units(&items, &[0, 3, 4, 9], Some(3), |i, &x| {
+            assert!(x != 5, "poison point {x}");
+            (i, std::thread::current().id())
+        });
+        assert!(out[5].as_ref().is_err_and(|e| e.contains("poison point")));
+        for (i, result) in out.iter().enumerate() {
+            if i != 5 {
+                assert_eq!(result.as_ref().unwrap().0, i);
+            }
+        }
+        // A unit runs on one worker.
+        let thread = |i: usize| out[i].as_ref().unwrap().1;
+        assert_eq!(thread(0), thread(2));
+        assert_eq!(thread(4), thread(8));
     }
 
     #[test]
