@@ -19,7 +19,6 @@ use ltrf_core::{
     capacity_requirement, overhead_report, paper_latency_factors, CapacityRequirement,
     ExperimentConfig, GpuArchitecture, Organization, OverheadInputs, OverheadReport,
 };
-use ltrf_isa::RegisterSensitivity;
 use ltrf_sim::{GpuConfig, Topology};
 use ltrf_sweep::api::config_org_mean;
 use ltrf_sweep::{
@@ -772,17 +771,6 @@ pub fn overheads(selection: SuiteSelection) -> OverheadReport {
         ..ltrf_compiler::CompileStats::default()
     };
     overhead_report(&OverheadInputs::default(), Some(&mean_stats))
-}
-
-/// Splits rows by register sensitivity, used by several binaries for the
-/// per-category averages the paper reports.
-#[must_use]
-pub fn sensitivity_of(workload: &Workload) -> RegisterSensitivity {
-    if workload.is_register_sensitive() {
-        RegisterSensitivity::Sensitive
-    } else {
-        RegisterSensitivity::Insensitive
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -109,10 +109,6 @@ pub fn form_strands(
     Ok((rebuilt, partition))
 }
 
-/// A partition formed by [`form_strands`]; alias kept for readability at call
-/// sites that want to emphasise strands rather than register-intervals.
-pub type StrandPartition = RegisterIntervalPartition;
-
 #[cfg(test)]
 mod tests {
     use super::*;

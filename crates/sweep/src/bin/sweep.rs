@@ -45,13 +45,11 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use ltrf_sweep::api::{self, registry, Campaign, CampaignParams, RenderContext};
-use ltrf_sweep::serve::{client_request, client_stream, CampaignServer, ServeConfig};
 use ltrf_sweep::{
     report, AggregateSink, CampaignEvent, CampaignSession, ExecutorOptions, FanoutSink, RecordSink,
     RunningAggregates, StreamingCsvWriter, SweepResults, SweepSpec, CACHE_SCHEMA_VERSION,
     ENGINE_FINGERPRINT,
 };
-use serde::Value;
 
 /// How execution progress reaches stdout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,12 +90,10 @@ impl Default for RuntimeOptions {
 fn usage() -> String {
     let commands: Vec<&str> = registry().campaigns().iter().map(|c| c.name).collect();
     format!(
-        "usage: sweep <{}|list|describe|version|serve|client> [--out DIR] [--cache DIR] \
+        "usage: sweep <{}|list|describe|version> [--out DIR] [--cache DIR] \
          [--no-cache] [--force] [--resume] [--threads N] [--progress human|json] \
          [campaign options]\n\
-         `sweep list` prints the campaign index; `sweep describe <campaign>` its options;\n\
-         `sweep serve` runs the campaign service and `sweep client` drives one \
-         (see REPRODUCING.md, \"Campaign service\")",
+         `sweep list` prints the campaign index; `sweep describe <campaign>` its options",
         commands.join("|")
     )
 }
@@ -198,8 +194,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         }
         "list" => run_list(rest),
         "describe" => run_describe(rest),
-        "serve" => run_serve(rest),
-        "client" => run_client(rest),
         "help" | "--help" | "-h" => {
             println!("{}", usage());
             Ok(())
@@ -333,7 +327,6 @@ fn execute(
         force_recompute: runtime.force,
         journal_path: Some(journal_path.clone()),
         resume: runtime.resume,
-        ..ExecutorOptions::default()
     };
     let threads = runtime.threads.unwrap_or_else(ltrf_sweep::default_threads);
     let session = CampaignSession::new(spec, &executor);
@@ -400,188 +393,6 @@ fn execute(
         );
     }
     Ok((results, aggregates))
-}
-
-/// `sweep serve`: run the long-lived campaign service (see
-/// `REPRODUCING.md`, "Campaign service", for the wire protocol).
-fn run_serve(args: &[String]) -> Result<(), String> {
-    let mut config = ServeConfig::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--addr" => {
-                config.addr = iter.next().ok_or("--addr needs host:port")?.clone();
-            }
-            "--out" => {
-                config.out_dir = iter
-                    .next()
-                    .map(PathBuf::from)
-                    .ok_or("--out needs a directory")?;
-            }
-            "--cache" => {
-                config.cache_dir = Some(
-                    iter.next()
-                        .map(PathBuf::from)
-                        .ok_or("--cache needs a directory")?,
-                );
-            }
-            "--no-cache" => config.cache_dir = None,
-            "--pool" => {
-                let n: usize = parse_value("--pool", iter.next())?;
-                config.pool = n.max(1);
-            }
-            "--session-threads" => {
-                let n: usize = parse_value("--session-threads", iter.next())?;
-                config.session_threads = n.max(1);
-            }
-            "--replay" => {
-                let n: usize = parse_value("--replay", iter.next())?;
-                config.replay_capacity = n.max(1);
-            }
-            flag => {
-                return Err(format!(
-                    "unknown serve option `{flag}` (--addr HOST:PORT --out DIR --cache DIR \
-                     --no-cache --pool N --session-threads N --replay N)"
-                ))
-            }
-        }
-    }
-    let server = CampaignServer::bind(config).map_err(|e| format!("serve: {e}"))?;
-    let addr = server.local_addr().map_err(|e| format!("serve: {e}"))?;
-    println!("sweep serve listening on {addr}");
-    server.run().map_err(|e| format!("serve: {e}"))
-}
-
-/// Collects the registry-vocabulary campaign flags after `sweep client
-/// ADDR submit <campaign>` into protocol `params` pairs. The registry only
-/// supplies flag *arity* here (value-less flags become `true`); the server
-/// re-validates names, scope, and values against the same schemas.
-fn client_params(
-    args: &mut std::slice::Iter<'_, String>,
-) -> Result<(Vec<(String, Value)>, bool), String> {
-    let mut params = Vec::new();
-    let mut watch = false;
-    let registry = registry();
-    while let Some(arg) = args.next() {
-        if arg == "--watch" {
-            watch = true;
-            continue;
-        }
-        let Some(spec) = registry.param(arg) else {
-            return Err(format!("unknown campaign option `{arg}`"));
-        };
-        let key = arg.trim_start_matches("--").to_string();
-        if spec.takes_value() {
-            let value = args.next().ok_or_else(|| format!("{arg} needs a value"))?;
-            params.push((key, Value::Str(value.clone())));
-        } else {
-            params.push((key, Value::Bool(true)));
-        }
-    }
-    Ok((params, watch))
-}
-
-fn object(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-/// `sweep client ADDR <submit|attach|status|cancel|shutdown> ...`: a thin
-/// line-protocol client for scripts, CI, and the concurrency tests.
-fn run_client(args: &[String]) -> Result<(), String> {
-    const USAGE: &str = "usage: sweep client ADDR <submit <campaign> [campaign options] \
-                         [--watch] | attach <session-id> [--after N] | status | \
-                         cancel <session-id> | shutdown>";
-    let mut iter = args.iter();
-    let addr = iter.next().ok_or(USAGE)?.clone();
-    let action = iter.next().ok_or(USAGE)?.as_str();
-    match action {
-        "submit" => {
-            let campaign = iter.next().ok_or("submit needs a campaign name")?.clone();
-            let (params, watch) = client_params(&mut iter)?;
-            let request = object(vec![
-                ("cmd", Value::Str("submit".to_string())),
-                ("campaign", Value::Str(campaign)),
-                ("params", Value::Object(params)),
-            ]);
-            let reply = client_request(&addr, &request)?;
-            println!("{}", reply.to_json());
-            check_ok(&reply)?;
-            if watch {
-                let session_id = reply
-                    .get("session_id")
-                    .and_then(Value::as_str)
-                    .ok_or("submit reply carried no session_id")?
-                    .to_string();
-                stream_to_stdout(&addr, &session_id, None)?;
-            }
-            Ok(())
-        }
-        "attach" => {
-            let session_id = iter.next().ok_or("attach needs a session id")?.clone();
-            let after = match iter.next().map(String::as_str) {
-                Some("--after") => Some(parse_value::<u64>("--after", iter.next())?),
-                Some(other) => return Err(format!("unknown attach option `{other}`")),
-                None => None,
-            };
-            stream_to_stdout(&addr, &session_id, after)
-        }
-        "status" => {
-            let reply = client_request(
-                &addr,
-                &object(vec![("cmd", Value::Str("status".to_string()))]),
-            )?;
-            println!("{}", reply.to_json());
-            check_ok(&reply)
-        }
-        "cancel" => {
-            let session_id = iter.next().ok_or("cancel needs a session id")?.clone();
-            let reply = client_request(
-                &addr,
-                &object(vec![
-                    ("cmd", Value::Str("cancel".to_string())),
-                    ("session_id", Value::Str(session_id)),
-                ]),
-            )?;
-            println!("{}", reply.to_json());
-            check_ok(&reply)
-        }
-        "shutdown" => {
-            let reply = client_request(
-                &addr,
-                &object(vec![("cmd", Value::Str("shutdown".to_string()))]),
-            )?;
-            println!("{}", reply.to_json());
-            check_ok(&reply)
-        }
-        other => Err(format!("unknown client action `{other}`\n{USAGE}")),
-    }
-}
-
-/// Fails on an `{"ok":false}` reply, surfacing the server's error text.
-fn check_ok(reply: &Value) -> Result<(), String> {
-    match reply.get("ok") {
-        Some(Value::Bool(true)) => Ok(()),
-        _ => Err(reply
-            .get("error")
-            .and_then(Value::as_str)
-            .unwrap_or("server reported an error")
-            .to_string()),
-    }
-}
-
-/// Attaches to a session and prints its event stream (and the final
-/// detached response) line by line.
-fn stream_to_stdout(addr: &str, session_id: &str, after: Option<u64>) -> Result<(), String> {
-    let mut fields = vec![
-        ("cmd", Value::Str("attach".to_string())),
-        ("session_id", Value::Str(session_id.to_string())),
-    ];
-    if let Some(after) = after {
-        fields.push(("after", Value::UInt(after)));
-    }
-    let detached = client_stream(addr, &object(fields), |line| println!("{line}"))?;
-    println!("{}", detached.to_json());
-    Ok(())
 }
 
 #[cfg(test)]

@@ -166,7 +166,7 @@ impl ResultCache {
     }
 
     /// Loads the outcome stored under `key`, verifying the key material.
-    /// The entry must start with [`entry_prefix`] of the key's material,
+    /// The entry must start with `entry_prefix` of the key's material,
     /// byte for byte, and the rest must be exactly one outcome value and
     /// the closing brace. Any failure — missing entry, torn write, checksum
     /// mismatch, schema drift, digest collision, non-canonical bytes — is a

@@ -3,7 +3,7 @@
 //! [`CampaignSession`] takes a [`SweepSpec`] and evaluates every point
 //! across all cores: workers claim points from a shared queue (so uneven
 //! point costs balance out), each point runs under panic isolation,
-//! per-point seeds follow the spec's [`SeedMode`](crate::SeedMode), and —
+//! per-point seeds follow the spec's [`SeedMode`], and —
 //! when a cache is attached — outcomes are served from and stored to the
 //! content-addressed [`ResultCache`]. While the session runs it emits a
 //! typed [`CampaignEvent`] stream to a [`CampaignObserver`] (the `sweep`
@@ -26,8 +26,6 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize, Value};
@@ -355,13 +353,6 @@ pub struct ExecutorOptions {
     pub threads: Option<usize>,
     /// Cache directory; `None` disables caching.
     pub cache_dir: Option<PathBuf>,
-    /// An already-open cache *instance* to use instead of opening
-    /// `cache_dir`. The campaign service shares one instance across every
-    /// concurrent session so a point stored by one session is immediately
-    /// visible to the others' in-memory index (per-session opens would each
-    /// snapshot the packed index at open time and miss each other's
-    /// stores). Takes precedence over `cache_dir` when both are set.
-    pub shared_cache: Option<Arc<ResultCache>>,
     /// When `true`, ignore cached outcomes (but still store fresh ones).
     pub force_recompute: bool,
     /// Checkpoint journal path; `None` runs unjournaled. When set, every
@@ -373,66 +364,6 @@ pub struct ExecutorOptions {
     /// instead of re-evaluating them. Requires a cache: restored outcomes
     /// are read back through it.
     pub resume: bool,
-    /// Cross-session coordination hooks (single-flight dedup of identical
-    /// in-flight points plus a shared bounded worker pool) — the campaign
-    /// service (`sweep serve`, [`crate::serve`]) installs its
-    /// [`SingleFlight`](crate::serve::SingleFlight) here. `None` runs
-    /// standalone with no coordination overhead.
-    pub coordinator: Option<Arc<dyn PointCoordinator>>,
-    /// Cooperative cancellation flag. When it reads `true`, every point not
-    /// yet claimed resolves as a `cancelled` failure record (with its
-    /// `PointFailed` event) instead of being evaluated, so the campaign
-    /// drains quickly but still emits exactly one terminal event per point
-    /// and a final `CampaignFinished`.
-    pub cancel: Option<Arc<AtomicBool>>,
-}
-
-impl ExecutorOptions {
-    fn cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|flag| flag.load(Ordering::Relaxed))
-    }
-}
-
-/// How a coordinated session should resolve a point that missed the cache —
-/// what [`PointCoordinator::claim`] returns.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PointClaim {
-    /// This session leads the digest: it evaluates the point, stores the
-    /// outcome, and must call [`PointCoordinator::publish`] exactly once so
-    /// waiting sessions (and the worker-pool permit) are released.
-    Lead,
-    /// Another session was already computing the same digest; its finished
-    /// outcome is fanned out here without re-evaluating. Successful
-    /// coalesced points surface as [`CampaignEvent::PointCoalesced`].
-    /// (Boxed: the outcome dwarfs the data-less [`PointClaim::Lead`].)
-    Coalesced(Box<PointOutcome>),
-}
-
-/// Cross-session execution hooks for the campaign service: single-flight
-/// dedup of identical in-flight points (keyed on the content-addressed cache
-/// digest) and a shared bounded worker pool.
-///
-/// The executor calls [`claim`](PointCoordinator::claim) after a cache miss
-/// and before evaluation; a [`PointClaim::Lead`] answer obliges it to call
-/// [`publish`](PointCoordinator::publish) with the final outcome (it does so
-/// on every path, including cache-recheck hits and failures). Because a
-/// leader may have blocked in `claim` waiting for a pool permit while some
-/// other session finished the same digest, the executor re-checks the
-/// (shared) cache once more after winning a claim — that recheck is what
-/// makes "each digest evaluated at most once service-wide" hold even across
-/// the store/publish race.
-pub trait PointCoordinator: std::fmt::Debug + Send + Sync {
-    /// Claims `digest` for evaluation. May block — waiting for a worker
-    /// pool permit (leaders) or for another session's in-flight computation
-    /// of the same digest (followers).
-    fn claim(&self, digest: &str) -> PointClaim;
-
-    /// Publishes the leader's final outcome for `digest`: wakes every
-    /// session waiting on it and releases the worker-pool permit. Called
-    /// exactly once per successful [`PointClaim::Lead`].
-    fn publish(&self, digest: &str, outcome: &PointOutcome);
 }
 
 /// A consumer of completed [`PointRecord`]s, called from the worker threads
@@ -475,7 +406,7 @@ impl RecordSink for FanoutSink<'_> {
 /// How a campaign's points resolved, by provenance — the summary a
 /// streaming run reports without retaining its records. The counts
 /// partition the campaign:
-/// `computed + cached + restored + coalesced == points`.
+/// `computed + cached + restored == points`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CampaignTotals {
     /// Total points in the campaign.
@@ -486,10 +417,6 @@ pub struct CampaignTotals {
     pub cached: usize,
     /// Points restored from the checkpoint journal (resume runs).
     pub restored: usize,
-    /// Points fanned out from another session's in-flight computation of
-    /// the same digest (single-flight dedup under the campaign service;
-    /// zero outside `sweep serve`).
-    pub coalesced: usize,
     /// Points that failed (errors plus panics).
     pub failed: usize,
     /// Fraction of records carrying cache provenance, in `[0, 1]` — the
@@ -508,8 +435,7 @@ pub struct CampaignTotals {
 /// a shared queue), so every per-point event carries the point's index into
 /// [`SweepSpec::points`]. Per campaign, the stream always contains exactly
 /// one `CampaignStarted`, then one `PointStarted` and one terminal
-/// `PointFinished`, `PointRestored`, `PointCoalesced` *or* `PointFailed`
-/// per point, and finally exactly one `CampaignFinished` whose counts match
+/// `PointFinished`, `PointRestored` *or* `PointFailed` per point, and finally exactly one `CampaignFinished` whose counts match
 /// the returned [`SweepResults`].
 ///
 /// [`CampaignEvent::to_json_line`] renders an event as the stable
@@ -549,18 +475,12 @@ pub enum CampaignEvent {
         /// its record — and CSV row — carries).
         from_cache: bool,
     },
-    /// Another session of the campaign service was already computing the
-    /// identical point (same content-addressed digest); its outcome was
-    /// computed once and fanned out here (single-flight dedup). Terminal,
-    /// like `PointFinished`; never emitted outside `sweep serve`. A
-    /// coalesced *failure* surfaces as `PointFailed` instead, so failures
-    /// are always visible.
+    /// Never emitted: no session coalesces points with another. The variant
+    /// remains only because the benchmark harness (`perfbench/`) matches on
+    /// it; it goes when the benchmark is next redefined.
     PointCoalesced {
         /// Index into [`SweepSpec::points`].
         index: usize,
-        /// The content digest the point was deduplicated on (correlates
-        /// coalesced points across concurrent sessions).
-        digest: String,
     },
     /// A point failed (runner error or isolated panic); the campaign
     /// continues.
@@ -588,9 +508,6 @@ pub enum CampaignEvent {
         /// Points restored from the checkpoint journal (zero outside
         /// resume runs).
         restored: usize,
-        /// Points fanned out from another session's in-flight computation
-        /// (zero outside the campaign service).
-        coalesced: usize,
         /// Points that failed.
         failed: usize,
         /// Fraction of points served from the cache, in `[0, 1]` (matches
@@ -642,10 +559,9 @@ impl CampaignEvent {
                 ("index", Value::UInt(*index as u64)),
                 ("from_cache", Value::Bool(*from_cache)),
             ]),
-            CampaignEvent::PointCoalesced { index, digest } => obj(vec![
+            CampaignEvent::PointCoalesced { index } => obj(vec![
                 ("event", Value::Str("point_coalesced".into())),
                 ("index", Value::UInt(*index as u64)),
-                ("digest", Value::Str(digest.clone())),
             ]),
             CampaignEvent::PointFailed {
                 index,
@@ -666,7 +582,6 @@ impl CampaignEvent {
                 computed,
                 cached,
                 restored,
-                coalesced,
                 failed,
                 hit_rate,
             } => obj(vec![
@@ -675,7 +590,6 @@ impl CampaignEvent {
                 ("computed", Value::UInt(*computed as u64)),
                 ("cached", Value::UInt(*cached as u64)),
                 ("restored", Value::UInt(*restored as u64)),
-                ("coalesced", Value::UInt(*coalesced as u64)),
                 ("failed", Value::UInt(*failed as u64)),
                 ("hit_rate", Value::Float(*hit_rate)),
             ]),
@@ -687,10 +601,8 @@ impl CampaignEvent {
 ///
 /// Observers are called from the worker threads, so they must be `Sync`;
 /// events for different points arrive interleaved. Any `Fn(&CampaignEvent) +
-/// Sync` closure is an observer, and two adapters cover the common shapes:
-/// [`EventLog`] collects the stream for inspection (tests, summaries) and
-/// [`event_channel`] forwards it over an `mpsc` channel to a consumer on
-/// another thread.
+/// Sync` closure is an observer, and [`EventLog`] collects the stream for
+/// inspection (tests, summaries).
 pub trait CampaignObserver: Sync {
     /// Called once per event, in stream order per point (but interleaved
     /// across points).
@@ -738,36 +650,6 @@ impl CampaignObserver for EventLog {
             .lock()
             .expect("event log poisoned")
             .push(event.clone());
-    }
-}
-
-/// A channel-backed observer: events are forwarded to the returned receiver,
-/// so a consumer on another thread can stream progress while the session
-/// runs. A dropped receiver is tolerated (sends become no-ops).
-#[derive(Debug)]
-pub struct EventSender {
-    sender: Mutex<mpsc::Sender<CampaignEvent>>,
-}
-
-/// Creates a connected [`EventSender`]/receiver pair.
-#[must_use]
-pub fn event_channel() -> (EventSender, mpsc::Receiver<CampaignEvent>) {
-    let (sender, receiver) = mpsc::channel();
-    (
-        EventSender {
-            sender: Mutex::new(sender),
-        },
-        receiver,
-    )
-}
-
-impl CampaignObserver for EventSender {
-    fn on_event(&self, event: &CampaignEvent) {
-        let _ = self
-            .sender
-            .lock()
-            .expect("event sender poisoned")
-            .send(event.clone());
     }
 }
 
@@ -875,21 +757,15 @@ impl<'a> CampaignSession<'a> {
     ) -> (Vec<PointRecord>, CampaignTotals) {
         let spec = self.spec;
         let options = self.options;
-        // A shared instance (the campaign service) wins over a directory:
-        // the service's sessions must see each other's stores through one
-        // in-memory index, not per-open snapshots.
-        let cache: Option<Arc<ResultCache>> = options.shared_cache.clone().or_else(|| {
-            options.cache_dir.as_ref().and_then(|dir| {
-                ResultCache::open(dir)
-                    .map(Arc::new)
-                    .map_err(|e| {
-                        eprintln!(
-                            "sweep: cache at {} unusable ({e}); running uncached",
-                            dir.display()
-                        )
-                    })
-                    .ok()
-            })
+        let cache: Option<ResultCache> = options.cache_dir.as_ref().and_then(|dir| {
+            ResultCache::open(dir)
+                .map_err(|e| {
+                    eprintln!(
+                        "sweep: cache at {} unusable ({e}); running uncached",
+                        dir.display()
+                    )
+                })
+                .ok()
         });
         // The checkpoint journal (when requested). A resume loads the
         // previous run's snapshot; an unusable journal degrades to running
@@ -959,7 +835,6 @@ impl<'a> CampaignSession<'a> {
                         cached: false,
                         restored: true,
                         restored_hit: prior.from_cache,
-                        coalesced: false,
                         failed: record.outcome.is_failure(),
                     };
                     return (retain.then(|| Box::new(record)), tally);
@@ -969,138 +844,49 @@ impl<'a> CampaignSession<'a> {
                 // recompute — restores never invent results.
             }
 
-            // Cancellation drains the remaining points as failures without
-            // evaluating them, keeping the one-terminal-event-per-point
-            // stream invariant (and the final CampaignFinished) intact.
-            if options.cancelled() {
-                let error = "cancelled by service request".to_string();
-                observer.on_event(&CampaignEvent::PointFailed {
-                    index,
-                    workload: point.workload.clone(),
-                    organization: point.config.organization.label(),
-                    config_id: point.config.mrf_config.id.0,
-                    error: error.clone(),
-                });
-                let record = make_record(point, &key, PointOutcome::Error(error), false);
-                sink.on_record(index, &record);
-                let tally = Tally {
-                    cached: false,
-                    restored: false,
-                    restored_hit: false,
-                    coalesced: false,
-                    failed: true,
-                };
-                return (retain.then(|| Box::new(record)), tally);
-            }
-
             let cached = if options.force_recompute {
                 None
             } else {
                 cache.as_ref().and_then(|c| c.load::<PointOutcome>(&key))
             };
-            let mut from_cache = cached.is_some();
-            let mut coalesced = false;
+            let from_cache = cached.is_some();
             let outcome = match cached {
-                Some(outcome) => outcome,
-                None => {
-                    // Single-flight dedup: claim the digest. A follower gets
-                    // the leader's outcome fanned out; a leader (or an
-                    // uncoordinated run) evaluates it here.
-                    let claim = options
-                        .coordinator
-                        .as_ref()
-                        .map(|coordinator| coordinator.claim(&key.digest_hex));
-                    match claim {
-                        Some(PointClaim::Coalesced(outcome)) => {
-                            coalesced = true;
-                            *outcome
-                        }
-                        lead => {
-                            // A leader may have waited in `claim` for a pool
-                            // permit while a *different* session finished
-                            // this digest and published: re-check the shared
-                            // cache once so each digest is evaluated at most
-                            // once service-wide.
-                            let recheck = if lead.is_some() && !options.force_recompute {
-                                cache.as_ref().and_then(|c| c.load::<PointOutcome>(&key))
-                            } else {
-                                None
-                            };
-                            let outcome = match recheck {
-                                Some(outcome) => {
-                                    from_cache = true;
-                                    outcome
-                                }
-                                None => {
-                                    let outcome = evaluate_point(
-                                        spec,
-                                        point,
-                                        &suite,
-                                        key.seed,
-                                        &self.references,
-                                    );
-                                    // Only successes are cached: failures may
-                                    // be transient (and must stay visible on
-                                    // every run until fixed).
-                                    if let PointOutcome::Ok(_) = &outcome {
-                                        // Journal *before* the cache store: a
-                                        // kill between the two costs one
-                                        // recompute on resume; the reverse
-                                        // order would let the resume serve
-                                        // the point as a live cache hit and
-                                        // flip its recorded provenance.
-                                        if let Some(journal) = &journal {
-                                            if let Err(e) =
-                                                journal.record(&key.digest_hex, key.seed, false)
-                                            {
-                                                eprintln!(
-                                                    "sweep: failed to journal {}: {e}",
-                                                    key.digest_hex
-                                                );
-                                            }
-                                        }
-                                        if let Some(cache) = &cache {
-                                            if let Err(e) = cache.store(&key, &outcome) {
-                                                eprintln!(
-                                                    "sweep: failed to store {}: {e}",
-                                                    key.digest_hex
-                                                );
-                                            }
-                                        }
-                                    }
-                                    outcome
-                                }
-                            };
-                            // Publish *after* the store so followers' later
-                            // cache loads (and leaders' rechecks) can hit.
-                            if let Some(coordinator) = &options.coordinator {
-                                coordinator.publish(&key.digest_hex, &outcome);
+                Some(outcome) => {
+                    // A live hit is a completed point too: journal it (with
+                    // its provenance) so a later kill does not lose it.
+                    if let (Some(journal), PointOutcome::Ok(_)) = (&journal, &outcome) {
+                        if snapshot.get(&key.digest_hex).is_none() {
+                            if let Err(e) = journal.record(&key.digest_hex, key.seed, true) {
+                                eprintln!("sweep: failed to journal {}: {e}", key.digest_hex);
                             }
-                            outcome
                         }
                     }
+                    outcome
+                }
+                None => {
+                    let outcome = evaluate_point(spec, point, &suite, key.seed, &self.references);
+                    // Only successes are cached: failures may be transient
+                    // (and must stay visible on every run until fixed).
+                    if let PointOutcome::Ok(_) = &outcome {
+                        // Journal *before* the cache store: a kill between
+                        // the two costs one recompute on resume; the reverse
+                        // order would let the resume serve the point as a
+                        // live cache hit and flip its recorded provenance.
+                        if let Some(journal) = &journal {
+                            if let Err(e) = journal.record(&key.digest_hex, key.seed, false) {
+                                eprintln!("sweep: failed to journal {}: {e}", key.digest_hex);
+                            }
+                        }
+                        if let Some(cache) = &cache {
+                            if let Err(e) = cache.store(&key, &outcome) {
+                                eprintln!("sweep: failed to store {}: {e}", key.digest_hex);
+                            }
+                        }
+                    }
+                    outcome
                 }
             };
-            // A coalesced success carries cache provenance in its record:
-            // by the time it is fanned out, the leader has stored it.
-            let record_hit = from_cache || (coalesced && !outcome.is_failure());
-            if record_hit {
-                // A live hit (or a coalesced success) is a completed point
-                // too: journal it (with its provenance) so a later kill
-                // does not lose it.
-                if let (Some(journal), PointOutcome::Ok(_)) = (&journal, &outcome) {
-                    if snapshot.get(&key.digest_hex).is_none() {
-                        if let Err(e) = journal.record(&key.digest_hex, key.seed, true) {
-                            eprintln!("sweep: failed to journal {}: {e}", key.digest_hex);
-                        }
-                    }
-                }
-            }
             observer.on_event(&match &outcome {
-                PointOutcome::Ok(_) if coalesced => CampaignEvent::PointCoalesced {
-                    index,
-                    digest: key.digest_hex.clone(),
-                },
                 PointOutcome::Ok(_) => CampaignEvent::PointFinished {
                     index,
                     cache_hit: from_cache,
@@ -1113,13 +899,12 @@ impl<'a> CampaignSession<'a> {
                     error: e.clone(),
                 },
             });
-            let record = make_record(point, &key, outcome, record_hit);
+            let record = make_record(point, &key, outcome, from_cache);
             sink.on_record(index, &record);
             let tally = Tally {
                 cached: from_cache,
                 restored: false,
                 restored_hit: false,
-                coalesced,
                 failed: record.outcome.is_failure(),
             };
             (retain.then(|| Box::new(record)), tally)
@@ -1151,7 +936,6 @@ impl<'a> CampaignSession<'a> {
                     cached: false,
                     restored: false,
                     restored_hit: false,
-                    coalesced: false,
                     failed: true,
                 };
                 (retain.then(|| Box::new(record)), tally)
@@ -1160,15 +944,13 @@ impl<'a> CampaignSession<'a> {
                 totals.cached += 1;
             } else if tally.restored {
                 totals.restored += 1;
-            } else if tally.coalesced {
-                totals.coalesced += 1;
             } else {
                 totals.computed += 1;
             }
             if tally.failed {
                 totals.failed += 1;
             }
-            if tally.cached || tally.restored_hit || (tally.coalesced && !tally.failed) {
+            if tally.cached || tally.restored_hit {
                 hit_records += 1;
             }
             if let Some(record) = record {
@@ -1186,7 +968,6 @@ impl<'a> CampaignSession<'a> {
             computed: totals.computed,
             cached: totals.cached,
             restored: totals.restored,
-            coalesced: totals.coalesced,
             failed: totals.failed,
             hit_rate: totals.hit_rate,
         });
@@ -1200,7 +981,6 @@ struct Tally {
     cached: bool,
     restored: bool,
     restored_hit: bool,
-    coalesced: bool,
     failed: bool,
 }
 
@@ -1434,7 +1214,6 @@ mod tests {
             computed: 0,
             cached: 0,
             restored: 0,
-            coalesced: 0,
             failed: 0,
             hit_rate: rate,
         };

@@ -55,15 +55,6 @@
 //!   set) dispatches through, and that the registry/golden/differential
 //!   regression tests pin against `REPRODUCING.md`.
 //!
-//! * [`serve`] turns the engine into a long-lived campaign service:
-//!   `sweep serve` daemonizes a line-delimited JSON protocol over TCP
-//!   (submit/attach/status/cancel/shutdown) with registry-validated
-//!   requests, concurrent sessions multiplexed over ONE shared cache, a
-//!   bounded worker pool with single-flight dedup of identical in-flight
-//!   points (surfaced as [`CampaignEvent::PointCoalesced`]), and
-//!   disconnect-tolerant event streams replayable by session id — `sweep
-//!   client` is the matching scriptable driver.
-//!
 //! `REPRODUCING.md` at the repository root maps every artifact to its
 //! command, runtime, CSV schema, and cache behaviour.
 //!
@@ -96,7 +87,6 @@ pub mod packed;
 pub mod pool;
 mod reference;
 pub mod report;
-pub mod serve;
 pub mod spec;
 pub mod stream;
 
@@ -110,19 +100,14 @@ pub use api::{registry, ArtifactKind, Campaign, CampaignParams, CampaignRegistry
 pub use cache::{point_key, PointKey, ResultCache, CACHE_SCHEMA_VERSION, ENGINE_FINGERPRINT};
 pub use campaigns::{GenCampaignParams, InterconnectCampaignParams, TraceCampaignParams};
 pub use executor::{
-    event_channel, parallel_points, relative_ipc_series, run_sweep, CampaignEvent,
-    CampaignObserver, CampaignSession, CampaignTotals, EventLog, EventSender, ExecutorOptions,
-    FanoutSink, PointClaim, PointCoordinator, PointData, PointMeans, PointMeansAcc, PointOutcome,
-    PointRecord, RecordSink, SweepResults, Unobserved,
+    parallel_points, relative_ipc_series, run_sweep, CampaignEvent, CampaignObserver,
+    CampaignSession, CampaignTotals, EventLog, ExecutorOptions, FanoutSink, PointData, PointMeans,
+    PointMeansAcc, PointOutcome, PointRecord, RecordSink, SweepResults, Unobserved,
 };
 pub use journal::{CampaignJournal, CompletedPoint, JournalSnapshot};
 pub use ltrf_trace::{LoweringBounds, TraceWorkloadId};
 pub use packed::PackedStore;
 pub use pool::{default_threads, parallel_map};
-pub use serve::{
-    client_request, client_stream, parse_request, validate_submit, CampaignServer, Request,
-    ServeConfig, ServerHandle, SessionState, SingleFlight,
-};
 pub use spec::{
     GeneratedWorkload, MemorySelection, SeedMode, SweepPoint, SweepSpec, SweepSpecBuilder,
 };

@@ -404,8 +404,8 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Two threads appending through ONE store (the `sweep serve`
-    /// shared-cache shape) must interleave without corrupting the sidecar
+    /// Two threads appending through ONE store (a session's worker threads
+    /// share one cache) must interleave without corrupting the sidecar
     /// index: every digest loads back live, a fresh open rebuilds the
     /// complete index, and every idx line parses.
     #[test]

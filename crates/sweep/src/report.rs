@@ -17,17 +17,6 @@ pub fn write_json(results: &SweepResults, path: impl AsRef<Path>) -> io::Result<
     fs::write(path, serde::to_json_string(results))
 }
 
-/// Reads a campaign back from a JSON report.
-///
-/// # Errors
-///
-/// Returns an I/O error for unreadable files and `InvalidData` for files
-/// that do not parse as a campaign.
-pub fn read_json(path: impl AsRef<Path>) -> io::Result<SweepResults> {
-    let text = fs::read_to_string(path)?;
-    serde::from_json_str(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
 fn csv_escape(field: &str) -> String {
     if field.contains(',') || field.contains('"') || field.contains('\n') {
         format!("\"{}\"", field.replace('"', "\"\""))
@@ -254,15 +243,6 @@ pub fn to_csv(results: &SweepResults) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Writes the campaign as CSV.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error.
-pub fn write_csv(results: &SweepResults, path: impl AsRef<Path>) -> io::Result<()> {
-    fs::write(path, to_csv(results))
 }
 
 #[cfg(test)]

@@ -63,16 +63,6 @@ pub enum SeedMode {
     PerPoint(u64),
 }
 
-impl SeedMode {
-    /// The base seed of either mode.
-    #[must_use]
-    pub fn base_seed(self) -> u64 {
-        match self {
-            SeedMode::Fixed(seed) | SeedMode::PerPoint(seed) => seed,
-        }
-    }
-}
-
 /// The identity of one member of a generated workload population: the
 /// population seed, the member index, and the full generator bounds.
 ///

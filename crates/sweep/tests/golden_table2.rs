@@ -1,13 +1,10 @@
 //! Golden-file regression test for the `sweep table2` CSV output (`--quick`
-//! subset) — the fixture the CI `serve-smoke` job also drives two
-//! overlapping campaign-service sessions against.
+//! subset).
 //!
-//! The spec comes from the same canonical constructor the CLI and the
-//! service both dispatch to ([`ltrf_sweep::campaigns::table2_spec`]), so the
-//! committed fixture pins the exact rows `sweep table2 --quick` — and a
-//! `table2 --quick` session submitted over the `sweep serve` line protocol —
-//! emits. Any refactor that shifts a statistic, the CSV schema, or the point
-//! enumeration order fails this test.
+//! The spec comes from the same canonical constructor the CLI dispatches to
+//! ([`ltrf_sweep::campaigns::table2_spec`]), so the committed fixture pins
+//! the exact rows `sweep table2 --quick` emits. Any refactor that shifts a
+//! statistic, the CSV schema, or the point enumeration order fails this test.
 //!
 //! When an *intentional* behaviour change shifts the numbers, regenerate the
 //! fixture and review the diff like any other code change:

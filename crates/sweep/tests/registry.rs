@@ -35,7 +35,7 @@ fn sweep_commands(doc: &str) -> BTreeSet<String> {
 }
 
 /// The CLI's meta-commands: part of the `sweep` surface but not campaigns.
-const META_COMMANDS: [&str; 6] = ["list", "describe", "version", "help", "serve", "client"];
+const META_COMMANDS: [&str; 4] = ["list", "describe", "version", "help"];
 
 #[test]
 fn registry_matches_the_reproducing_atlas() {
@@ -109,10 +109,38 @@ struct EventCounts {
     finished_hits: usize,
     finished_misses: usize,
     restored: usize,
-    coalesced: usize,
     failed: usize,
-    campaign_finished: Vec<(usize, usize, usize, usize, usize, f64)>,
+    campaign_finished: Vec<(usize, usize, usize, usize, f64)>,
 }
+
+/// The `--progress json` wire schema: every event kind a session emits and
+/// the exact ordered key list of its line.
+const EVENT_KEYS: [(&str, &[&str]); 6] = [
+    ("campaign_started", &["event", "campaign", "points"]),
+    (
+        "point_started",
+        &["event", "index", "workload", "organization"],
+    ),
+    ("point_finished", &["event", "index", "cache_hit"]),
+    ("point_restored", &["event", "index", "from_cache"]),
+    (
+        "point_failed",
+        &[
+            "event",
+            "index",
+            "workload",
+            "organization",
+            "config_id",
+            "error",
+        ],
+    ),
+    (
+        "campaign_finished",
+        &[
+            "event", "campaign", "computed", "cached", "restored", "failed", "hit_rate",
+        ],
+    ),
+];
 
 fn count(events: &[CampaignEvent]) -> EventCounts {
     let mut counts = EventCounts {
@@ -121,7 +149,6 @@ fn count(events: &[CampaignEvent]) -> EventCounts {
         finished_hits: 0,
         finished_misses: 0,
         restored: 0,
-        coalesced: 0,
         failed: 0,
         campaign_finished: Vec::new(),
     };
@@ -136,19 +163,19 @@ fn count(events: &[CampaignEvent]) -> EventCounts {
                 cache_hit: false, ..
             } => counts.finished_misses += 1,
             CampaignEvent::PointRestored { .. } => counts.restored += 1,
-            CampaignEvent::PointCoalesced { .. } => counts.coalesced += 1,
+            // Never emitted; the key-list check below rejects its line.
+            CampaignEvent::PointCoalesced { .. } => {}
             CampaignEvent::PointFailed { .. } => counts.failed += 1,
             CampaignEvent::CampaignFinished {
                 computed,
                 cached,
                 restored,
-                coalesced,
                 failed,
                 hit_rate,
                 ..
-            } => counts.campaign_finished.push((
-                *computed, *cached, *restored, *coalesced, *failed, *hit_rate,
-            )),
+            } => counts
+                .campaign_finished
+                .push((*computed, *cached, *restored, *failed, *hit_rate)),
         }
     }
     counts
@@ -159,11 +186,7 @@ fn assert_stream_matches(events: &[CampaignEvent], results: &SweepResults) {
     assert_eq!(counts.started, 1, "exactly one CampaignStarted");
     assert_eq!(counts.point_started, results.len(), "one start per point");
     assert_eq!(
-        counts.finished_hits
-            + counts.finished_misses
-            + counts.restored
-            + counts.coalesced
-            + counts.failed,
+        counts.finished_hits + counts.finished_misses + counts.restored + counts.failed,
         results.len(),
         "one terminal event per point"
     );
@@ -172,17 +195,12 @@ fn assert_stream_matches(events: &[CampaignEvent], results: &SweepResults) {
         "non-resume runs never restore from a journal"
     );
     assert_eq!(
-        counts.coalesced, 0,
-        "coalescing needs a PointCoordinator; plain runs have none"
-    );
-    assert_eq!(
         counts.finished_hits,
         results.cached_count(),
         "cache_hit flags"
     );
     assert_eq!(counts.failed, results.failure_count(), "failure events");
-    let &[(computed, cached, restored, coalesced, failed, hit_rate)] =
-        counts.campaign_finished.as_slice()
+    let &[(computed, cached, restored, failed, hit_rate)] = counts.campaign_finished.as_slice()
     else {
         panic!(
             "exactly one CampaignFinished, got {:?}",
@@ -192,10 +210,6 @@ fn assert_stream_matches(events: &[CampaignEvent], results: &SweepResults) {
     assert_eq!(computed, results.computed_count());
     assert_eq!(cached, results.cached_count());
     assert_eq!(restored, 0, "non-resume runs report zero restored points");
-    assert_eq!(
-        coalesced, 0,
-        "uncoordinated runs report zero coalesced points"
-    );
     assert_eq!(failed, results.failure_count());
     assert!((hit_rate - results.cache_hit_rate()).abs() < 1e-12);
     // The last event of the stream is the campaign summary.
@@ -203,7 +217,7 @@ fn assert_stream_matches(events: &[CampaignEvent], results: &SweepResults) {
         events.last(),
         Some(CampaignEvent::CampaignFinished { .. })
     ));
-    // Every JSON line parses and round-trips its event kind.
+    // Every JSON line parses and carries exactly its kind's keys, in order.
     for event in events {
         let line = event.to_json_line();
         let value = serde::Value::parse_json(&line)
@@ -211,7 +225,13 @@ fn assert_stream_matches(events: &[CampaignEvent], results: &SweepResults) {
         let serde::Value::Object(fields) = value else {
             panic!("event line is not an object: {line}");
         };
-        assert_eq!(fields[0].0, "event", "the kind leads each line: {line}");
+        let kind = fields[0].1.as_str().unwrap_or_default();
+        assert_ne!(kind, "point_coalesced", "never emitted: {line}");
+        let Some((_, expected)) = EVENT_KEYS.iter().find(|(name, _)| *name == kind) else {
+            panic!("unknown event kind: {line}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(&keys, expected, "the {kind} key list: {line}");
     }
 }
 

@@ -72,7 +72,7 @@ fn restored_events(events: &[CampaignEvent]) -> usize {
 #[test]
 fn resumed_campaign_restores_completed_points_and_matches_an_uninterrupted_run() {
     let dir = temp_dir("kill-resume");
-    let shared_cache = dir.join("cache");
+    let run_cache = dir.join("cache");
     let spec_full = gen_campaign_spec(&test_params(4));
     let spec_subset = gen_campaign_spec(&test_params(2));
     assert!(spec_subset.points.len() < spec_full.points.len());
@@ -92,7 +92,7 @@ fn resumed_campaign_restores_completed_points_and_matches_an_uninterrupted_run()
     let partial = ltrf_sweep::run_sweep(
         &spec_subset,
         &ExecutorOptions {
-            cache_dir: Some(shared_cache.clone()),
+            cache_dir: Some(run_cache.clone()),
             ..ExecutorOptions::default()
         },
     );
@@ -113,7 +113,7 @@ fn resumed_campaign_restores_completed_points_and_matches_an_uninterrupted_run()
     // The resumed run restores every journaled point and computes the rest.
     let log = EventLog::new();
     let options = ExecutorOptions {
-        cache_dir: Some(shared_cache),
+        cache_dir: Some(run_cache),
         journal_path: Some(journal_path.clone()),
         resume: true,
         ..ExecutorOptions::default()
