@@ -1,23 +1,20 @@
 //! The first-class campaign API: a registry of typed [`Campaign`]
 //! definitions that every front-end derives its surface from.
 //!
-//! Historically each campaign was wired up three separate times — a
-//! hand-written match arm plus flag-scope table row in the `sweep` CLI, a
-//! figure function in `ltrf-bench`, and test plumbing — so adding a campaign
-//! meant editing ~5 files in lockstep. This module replaces that with one
-//! declarative definition per campaign:
+//! One declarative definition per campaign:
 //!
 //! * a [`Campaign`] carries the name/aliases, a one-line summary, the
 //!   [`ArtifactKind`], the accepted [`ParamSpec`] schema (types, defaults,
 //!   scope hints), the canonical spec constructor (delegating to
 //!   [`crate::campaigns`]), and the summary renderer;
 //! * the [`CampaignRegistry`] (see [`registry`]) holds exactly one entry per
-//!   paper artifact plus the `gpu-scale`/`gen-campaign`/`repro` campaigns;
+//!   paper artifact — the analytical ones (see [`crate::analytical`]) build
+//!   no specs and only render — plus the `repro` meta-campaign and the
+//!   beyond-paper studies;
 //! * the `sweep` CLI *generates* its subcommand dispatch, `--help` text, and
 //!   flag cross-rejection from the registry (including `sweep list` /
-//!   `sweep describe`), `ltrf-bench` dispatches its figure functions through
-//!   the same entries, and the registry tests assert the set matches the
-//!   `REPRODUCING.md` artifact atlas — so the three surfaces cannot drift.
+//!   `sweep describe`), and the registry tests assert the set matches the
+//!   `REPRODUCING.md` artifact atlas — so the surfaces cannot drift.
 //!
 //! Execution is the session-based API of [`crate::executor`]: build the
 //! specs from a [`CampaignParams`], run each through a
@@ -72,6 +69,7 @@ use ltrf_workloads::{GeneratorConfig, QUICK_SUBSET};
 
 use ltrf_sim::Topology;
 
+use crate::analytical;
 use crate::campaigns::{
     self, GenCampaignParams, InterconnectCampaignParams, TraceCampaignParams, FIG11_ORGS,
     FIG9_ORGS, GEN_CAMPAIGN_ORGS, POWER_ORGS,
@@ -437,7 +435,7 @@ pub mod params {
         ty: ParamType::Switch,
         default: "the paper's fixed campaign seed",
         help: "derive a distinct seed per point instead of the fixed campaign seed",
-        hint: "every campaign accepts it",
+        hint: "every simulated campaign accepts it",
         apply: |p, _| {
             p.per_point_seeds = true;
             Ok(())
@@ -763,6 +761,9 @@ pub enum ArtifactKind {
     BeyondPaper,
     /// A meta-campaign composing other campaigns (`repro`).
     Meta,
+    /// An analytical or compiler-only paper artifact: no specs, no
+    /// reports, only a printed table.
+    Analytical,
 }
 
 impl ArtifactKind {
@@ -774,6 +775,7 @@ impl ArtifactKind {
             ArtifactKind::PaperTable => "paper table",
             ArtifactKind::BeyondPaper => "beyond paper",
             ArtifactKind::Meta => "meta",
+            ArtifactKind::Analytical => "analytical",
         }
     }
 }
@@ -789,23 +791,8 @@ pub struct RenderContext<'a> {
     pub out_dir: &'a Path,
     /// The per-campaign running aggregates folded while the points
     /// streamed, parallel to the renderer's `results` slice. Empty before
-    /// execution (preambles) and for front-ends that have not adopted
-    /// streaming; renderers fall back to
-    /// [`RunningAggregates::from_results`] then.
+    /// execution (preambles).
     pub aggregates: &'a [RunningAggregates],
-}
-
-impl RenderContext<'_> {
-    /// The aggregates for the `index`-th campaign of the invocation,
-    /// folding them from the retained records when the front-end did not
-    /// stream them.
-    #[must_use]
-    pub fn aggregates_for(&self, index: usize, results: &SweepResults) -> RunningAggregates {
-        self.aggregates
-            .get(index)
-            .cloned()
-            .unwrap_or_else(|| RunningAggregates::from_results(results))
-    }
 }
 
 /// One registered campaign: everything a front-end needs to list it,
@@ -875,30 +862,34 @@ impl Campaign {
 }
 
 // ---------------------------------------------------------------------------
-// Summary renderers (moved here from the CLI so every front-end shares them)
+// Summary renderers
 // ---------------------------------------------------------------------------
 
 /// Renders nothing (campaigns whose CSV/JSON reports are the whole story).
-fn no_preamble(_specs: &[SweepSpec], _ctx: &RenderContext) -> String {
+pub(crate) fn no_preamble(_specs: &[SweepSpec], _ctx: &RenderContext) -> String {
     String::new()
 }
 
-/// One summary row of a latency-sweep campaign: a label and the predicate
-/// selecting the series' points.
-type LatencySeries<'a> = (String, Box<dyn Fn(&PointRecord) -> bool + 'a>);
-
-/// Prints a latency-sweep summary table: one row per series, one column per
+/// Prints a latency-sweep summary table: one row per `(label, value)`
+/// series, selecting the points whose `key` equals `value`, one column per
 /// latency factor, via the engine's canonical
 /// [`crate::relative_ipc_series`] aggregation (the CSV report carries the
 /// raw per-point rows).
-fn print_latency_series(results: &SweepResults, factors: &[f64], series: &[LatencySeries<'_>]) {
+fn print_latency_series<K: PartialEq + Copy>(
+    title: &str,
+    results: &SweepResults,
+    series: impl IntoIterator<Item = (String, K)>,
+    key: impl Fn(&PointRecord) -> K,
+) {
+    let factors = ltrf_core::paper_latency_factors();
+    println!("\n{title}");
     print!("  {:<22}", "Series");
-    for factor in factors {
+    for factor in &factors {
         print!(" {factor:>5.0}x");
     }
     println!();
-    for (label, select) in series {
-        match crate::relative_ipc_series(results, factors, select.as_ref()) {
+    for (label, value) in series {
+        match crate::relative_ipc_series(results, &factors, |r| key(r) == value) {
             Some(means) => {
                 print!("  {label:<22}");
                 for mean in means {
@@ -911,6 +902,38 @@ fn print_latency_series(results: &SweepResults, factors: &[f64], series: &[Laten
     }
 }
 
+/// Mean of a metric over a campaign's successful points that `select`
+/// accepts; `NaN` when there are none.
+fn mean_where(
+    results: &SweepResults,
+    select: impl Fn(&PointRecord) -> bool,
+    metric: impl Fn(&crate::PointData) -> Option<f64>,
+) -> f64 {
+    let values: Vec<f64> = results
+        .successes()
+        .filter(|(r, _)| select(r))
+        .filter_map(|(_, d)| metric(d))
+        .collect();
+    if values.is_empty() {
+        f64::NAN
+    } else {
+        values.iter().sum::<f64>() / values.len() as f64
+    }
+}
+
+/// [`mean_where`] over one (Table 2 configuration, organization) cell.
+fn config_org_mean(
+    results: &SweepResults,
+    config_id: u8,
+    org: Organization,
+    metric: impl Fn(&crate::PointData) -> Option<f64>,
+) -> f64 {
+    let cell = |r: &PointRecord| {
+        r.point.config.mrf_config.id.0 == config_id && r.point.config.organization == org
+    };
+    mean_where(results, cell, metric)
+}
+
 fn render_fig9(results: &[SweepResults], _ctx: &RenderContext) -> Result<(), String> {
     let results = &results[0];
     for config_id in [6u8, 7] {
@@ -918,24 +941,33 @@ fn render_fig9(results: &[SweepResults], _ctx: &RenderContext) -> Result<(), Str
             "\nFigure 9{}: configuration #{config_id}, mean IPC normalized to baseline",
             if config_id == 6 { 'a' } else { 'b' }
         );
-        // organization label → (sum, count)
-        let mut by_org: BTreeMap<&str, (f64, usize)> = BTreeMap::new();
-        for (record, data) in results.successes() {
-            if record.point.config.mrf_config.id.0 != config_id {
-                continue;
-            }
-            let entry = by_org
-                .entry(record.point.config.organization.label())
-                .or_insert((0.0, 0));
-            entry.0 += data.normalized_ipc.unwrap_or(0.0);
-            entry.1 += 1;
-        }
         for org in FIG9_ORGS {
-            if let Some((sum, count)) = by_org.get(org.label()) {
-                println!("  {:<14} {:.3}", org.label(), sum / *count as f64);
+            let mean = config_org_mean(results, config_id, org, |d| d.normalized_ipc);
+            if !mean.is_nan() {
+                println!("  {:<14} {mean:.3}", org.label());
             }
         }
     }
+    // Figure 3 is the Ideal and BL points of configuration #6 over the
+    // register-sensitive workloads.
+    let sensitive: Vec<&str> = ltrf_workloads::evaluated_specs()
+        .into_iter()
+        .filter(|s| s.sensitivity == ltrf_isa::RegisterSensitivity::Sensitive)
+        .map(|s| s.name)
+        .collect();
+    let fig3 = |org| {
+        let cell = |r: &PointRecord| {
+            r.point.config.mrf_config.id.0 == 6
+                && r.point.config.organization == org
+                && sensitive.contains(&r.point.workload.as_str())
+        };
+        mean_where(results, cell, |d| d.normalized_ipc)
+    };
+    println!(
+        "\nFigure 3: register-sensitive mean on configuration #6: Ideal {:.3}, BL {:.3}",
+        fig3(Organization::Ideal),
+        fig3(Organization::Baseline)
+    );
     Ok(())
 }
 
@@ -963,7 +995,7 @@ fn render_fig11(results: &[SweepResults], _ctx: &RenderContext) -> Result<(), St
             continue;
         }
         // Delegate the curve assembly and tolerance definition to the core
-        // metric (shared with the `fig11` harness binary).
+        // metric.
         let ipc_points: Vec<(f64, f64)> = curve
             .iter()
             .map(|(&bits, &ipc)| (f64::from_bits(bits), ipc))
@@ -984,100 +1016,72 @@ fn render_fig11(results: &[SweepResults], _ctx: &RenderContext) -> Result<(), St
 }
 
 fn render_fig12(results: &[SweepResults], _ctx: &RenderContext) -> Result<(), String> {
-    let factors = ltrf_core::paper_latency_factors();
-    println!(
-        "\nFigure 12: LTRF IPC (relative to the 1x point) vs. MRF latency, \
-         by registers per register-interval"
+    print_latency_series(
+        "Figure 12: LTRF IPC (relative to the 1x point) vs. MRF latency, \
+         by registers per register-interval",
+        &results[0],
+        campaigns::FIG12_INTERVAL_SIZES.map(|n| (format!("{n} regs"), n)),
+        |r| r.point.config.registers_per_interval,
     );
-    let series: Vec<LatencySeries> = campaigns::FIG12_INTERVAL_SIZES
-        .into_iter()
-        .map(|n| {
-            (
-                format!("{n} regs"),
-                Box::new(move |r: &PointRecord| r.point.config.registers_per_interval == n)
-                    as Box<dyn Fn(&PointRecord) -> bool>,
-            )
-        })
-        .collect();
-    print_latency_series(&results[0], &factors, &series);
     Ok(())
 }
 
 fn render_fig13(results: &[SweepResults], _ctx: &RenderContext) -> Result<(), String> {
-    let factors = ltrf_core::paper_latency_factors();
-    println!("\nFigure 13: LTRF IPC (relative to the 1x point) vs. MRF latency, by active warps");
-    let series: Vec<LatencySeries> = campaigns::FIG13_WARP_COUNTS
-        .into_iter()
-        .map(|warps| {
-            (
-                format!("{warps} warps"),
-                Box::new(move |r: &PointRecord| r.point.config.active_warps == warps)
-                    as Box<dyn Fn(&PointRecord) -> bool>,
-            )
-        })
-        .collect();
-    print_latency_series(&results[0], &factors, &series);
+    print_latency_series(
+        "Figure 13: LTRF IPC (relative to the 1x point) vs. MRF latency, by active warps",
+        &results[0],
+        campaigns::FIG13_WARP_COUNTS.map(|warps| (format!("{warps} warps"), warps)),
+        |r| r.point.config.active_warps,
+    );
     Ok(())
 }
 
 fn render_fig14(results: &[SweepResults], _ctx: &RenderContext) -> Result<(), String> {
-    let factors = ltrf_core::paper_latency_factors();
-    println!("\nFigure 14: IPC (relative to each scheme's 1x point) vs. MRF latency, by scheme");
-    let series: Vec<LatencySeries> = campaigns::FIG14_ORGS
+    let results = &results[0];
+    print_latency_series(
+        "Figure 14: IPC (relative to each scheme's 1x point) vs. MRF latency, by scheme",
+        results,
+        campaigns::FIG14_ORGS.map(|org| (org.label().to_string(), org)),
+        |r| r.point.config.organization,
+    );
+    // Figure 4 is the register-cache hit rate of the 1x points.
+    let hit_rates: Vec<String> = campaigns::FIG14_ORGS
         .into_iter()
-        .map(|org| {
-            (
-                org.label().to_string(),
-                Box::new(move |r: &PointRecord| r.point.config.organization == org)
-                    as Box<dyn Fn(&PointRecord) -> bool>,
-            )
+        .filter_map(|org| {
+            let cell = |r: &PointRecord| {
+                r.point.config.organization == org && r.point.config.latency_factor() == 1.0
+            };
+            let mean = mean_where(results, cell, |d| d.result.cache_hit_rate);
+            (!mean.is_nan()).then(|| format!("{} {:.0}%", org.label(), mean * 100.0))
         })
         .collect();
-    print_latency_series(&results[0], &factors, &series);
+    println!(
+        "\nFigure 4: mean register-cache hit rate at 1x: {}",
+        hit_rates.join(", ")
+    );
     Ok(())
 }
 
-/// Mean of a metric over a campaign's successful points on one
-/// (Table 2 configuration, organization) cell; `NaN` when the cell is
-/// empty. The CLI's `table2`/`power` summary tables and `ltrf-bench`'s
-/// `table2_sweep`/`power_sweep` rows are both this call, so the grouped
-/// means cannot drift between the two front-ends.
-#[must_use]
-pub fn config_org_mean(
-    results: &SweepResults,
-    config_id: u8,
-    org: Organization,
-    metric: impl Fn(&crate::PointData) -> Option<f64>,
-) -> f64 {
-    let values: Vec<f64> = results
-        .successes()
-        .filter(|(r, _)| {
-            r.point.config.mrf_config.id.0 == config_id && r.point.config.organization == org
-        })
-        .filter_map(|(_, d)| metric(d))
-        .collect();
-    if values.is_empty() {
-        f64::NAN
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
 fn table2_preamble(_specs: &[SweepSpec], _ctx: &RenderContext) -> String {
-    let mut out = String::from("Table 2: register-file design points (calibrated)\n");
+    let mut out =
+        String::from("Table 2: register-file design points (calibrated | analytical bank model)\n");
     out.push_str(&format!(
-        "  {:<4} {:<10} {:>9} {:>8} {:>8} {:>9}",
-        "id", "tech", "capacity", "area", "power", "latency"
+        "  {:<4} {:<10} {:>9} {:>8} {:>8} {:>9} | {:>6} {:>6} {:>8}",
+        "id", "tech", "capacity", "area", "power", "latency", "area", "power", "latency"
     ));
     for config in RegFileConfig::table2() {
+        let model = config.bank_model().estimate();
         out.push_str(&format!(
-            "\n  {:<4} {:<10} {:>8.1}x {:>7.2}x {:>7.2}x {:>8.2}x",
+            "\n  {:<4} {:<10} {:>8.1}x {:>7.2}x {:>7.2}x {:>8.2}x | {:>5.2}x {:>5.2}x {:>7.2}x",
             config.id.to_string(),
             config.technology.name(),
             config.capacity_factor,
             config.area_factor,
             config.power_factor,
-            config.latency_factor
+            config.latency_factor,
+            model.area_factor,
+            model.power_factor,
+            model.latency_factor
         ));
     }
     out
@@ -1162,7 +1166,7 @@ fn render_repro(results: &[SweepResults], ctx: &RenderContext) -> Result<(), Str
     Ok(())
 }
 
-fn render_gpu_scale(results: &[SweepResults], ctx: &RenderContext) -> Result<(), String> {
+fn render_gpu_scale(_results: &[SweepResults], ctx: &RenderContext) -> Result<(), String> {
     let sm_counts = ctx.params.sm_count_axis();
     println!(
         "\nGPU scaling on configuration #6 (grid weak-scaled with the SM count; \
@@ -1172,9 +1176,8 @@ fn render_gpu_scale(results: &[SweepResults], ctx: &RenderContext) -> Result<(),
         "  {:<5} {:<6} {:>9} {:>9} {:>8} {:>9} {:>12}",
         "SMs", "org", "IPC", "IPC/SM", "norm", "L2 hit", "DRAM row-hit"
     );
-    let aggregates = ctx.aggregates_for(0, &results[0]);
     for (sm_count, org, means) in
-        aggregates.means(&sm_counts, &[Organization::Baseline, Organization::Ltrf])
+        ctx.aggregates[0].means(&sm_counts, &[Organization::Baseline, Organization::Ltrf])
     {
         println!(
             "  {:<5} {:<6} {:>9.3} {:>9.3} {:>8.3} {:>8.1}% {:>11.1}%",
@@ -1209,14 +1212,14 @@ fn gen_campaign_preamble(_specs: &[SweepSpec], ctx: &RenderContext) -> String {
     )
 }
 
-fn render_gen_campaign(results: &[SweepResults], ctx: &RenderContext) -> Result<(), String> {
-    let aggregates = ctx.aggregates_for(0, &results[0]);
-    let sm_count = ctx.params.single_sm_count();
-    println!("\nPopulation means (IPC normalized to baseline on the same member):");
+/// Prints the BL/LTRF means table of the generated and trace campaigns.
+fn print_org_means(title: &str, aggregates: &RunningAggregates, ctx: &RenderContext) {
+    println!("\n{title}");
     println!(
         "  {:<6} {:>7} {:>9} {:>8} {:>9} {:>12}",
         "org", "points", "IPC", "norm", "L2 hit", "DRAM row-hit"
     );
+    let sm_count = ctx.params.single_sm_count();
     for (_, org, means) in aggregates.means(&[sm_count], &GEN_CAMPAIGN_ORGS) {
         println!(
             "  {:<6} {:>7} {:>9.3} {:>8.3} {:>8.1}% {:>11.1}%",
@@ -1228,6 +1231,15 @@ fn render_gen_campaign(results: &[SweepResults], ctx: &RenderContext) -> Result<
             means.dram_row_hit_rate * 100.0
         );
     }
+}
+
+fn render_gen_campaign(_results: &[SweepResults], ctx: &RenderContext) -> Result<(), String> {
+    let aggregates = &ctx.aggregates[0];
+    print_org_means(
+        "Population means (IPC normalized to baseline on the same member):",
+        aggregates,
+        ctx,
+    );
     // Where LTRF wins and loses across the population (the tails are what a
     // fixed 14-benchmark suite cannot show). The tail is folded online —
     // the renderer never needs the member rows.
@@ -1262,25 +1274,13 @@ fn trace_campaign_preamble(_specs: &[SweepSpec], ctx: &RenderContext) -> String 
     out
 }
 
-fn render_trace_campaign(results: &[SweepResults], ctx: &RenderContext) -> Result<(), String> {
-    let aggregates = ctx.aggregates_for(0, &results[0]);
-    let sm_count = ctx.params.single_sm_count();
-    println!("\nTrace means (IPC normalized to baseline on the same trace):");
-    println!(
-        "  {:<6} {:>7} {:>9} {:>8} {:>9} {:>12}",
-        "org", "points", "IPC", "norm", "L2 hit", "DRAM row-hit"
+fn render_trace_campaign(_results: &[SweepResults], ctx: &RenderContext) -> Result<(), String> {
+    let aggregates = &ctx.aggregates[0];
+    print_org_means(
+        "Trace means (IPC normalized to baseline on the same trace):",
+        aggregates,
+        ctx,
     );
-    for (_, org, means) in aggregates.means(&[sm_count], &GEN_CAMPAIGN_ORGS) {
-        println!(
-            "  {:<6} {:>7} {:>9.3} {:>8.3} {:>8.1}% {:>11.1}%",
-            org.label(),
-            means.count,
-            means.ipc,
-            means.normalized_ipc,
-            means.l2_hit_rate * 100.0,
-            means.dram_row_hit_rate * 100.0
-        );
-    }
     // Per-trace LTRF outcomes: the whole point of ingesting real traces is
     // seeing which ones LTRF helps. (One entry per trace — sorting this
     // small list at render time keeps the fold itself bounded.)
@@ -1310,15 +1310,14 @@ fn interconnect_preamble(specs: &[SweepSpec], ctx: &RenderContext) -> String {
     )
 }
 
-fn render_interconnect(results: &[SweepResults], ctx: &RenderContext) -> Result<(), String> {
+fn render_interconnect(_results: &[SweepResults], ctx: &RenderContext) -> Result<(), String> {
     let params = ctx.params.interconnect_params();
     println!("\nNetwork contention by topology (means over workloads, LTRF on configuration #6):");
     println!(
         "  {:<10} {:<5} {:>9} {:>15} {:>13}",
         "topology", "SMs", "IPC", "L2 queue wait", "NoC latency"
     );
-    for (index, (topology, campaign)) in params.topologies.iter().zip(results).enumerate() {
-        let aggregates = ctx.aggregates_for(index, campaign);
+    for (topology, aggregates) in params.topologies.iter().zip(ctx.aggregates) {
         for (sm_count, _, means) in aggregates.means(&params.sm_counts, &[Organization::Ltrf]) {
             println!(
                 "  {:<10} {:<5} {:>9.3} {:>15.0} {:>13.2}",
@@ -1341,18 +1340,20 @@ fn render_interconnect(results: &[SweepResults], ctx: &RenderContext) -> Result<
 // The registry
 // ---------------------------------------------------------------------------
 
-/// The registered campaigns, in help order. Exactly one entry per
-/// simulation-backed paper artifact (Figure 10 is `power`'s
-/// configuration-#7 slice, reachable through the `fig10` alias) plus the
-/// `repro` meta-campaign and the beyond-paper
+/// The registered campaigns, in help order. Exactly one entry per paper
+/// artifact plus the `repro` meta-campaign and the beyond-paper
 /// `gpu-scale`/`gen-campaign`/`trace-campaign`/`interconnect` studies.
-static CAMPAIGNS: [Campaign; 12] = [
+/// Figures 3, 4 and 10 are slices of other campaigns and are reached
+/// through aliases: Figure 3 is fig9's Ideal/BL points on configuration #6,
+/// Figure 4 is fig14's 1× points, and Figure 10 is `power`'s
+/// configuration-#7 slice.
+static CAMPAIGNS: [Campaign; 17] = [
     Campaign {
         name: "fig9",
-        aliases: &["figure9"],
+        aliases: &["figure9", "fig3", "figure3"],
         kind: ArtifactKind::PaperFigure,
         paper_ref: "Figure 9",
-        summary: "six organizations x suite on configurations #6/#7",
+        summary: "six organizations x suite on configurations #6/#7 (fig3 = Ideal/BL on #6)",
         artifacts: "fig9.{csv,json} (fig9-smN for multi-SM runs)",
         params: &SUITE_PARAMS,
         build: |params| {
@@ -1425,10 +1426,10 @@ static CAMPAIGNS: [Campaign; 12] = [
     },
     Campaign {
         name: "fig14",
-        aliases: &["figure14"],
+        aliases: &["figure14", "fig4", "figure4"],
         kind: ArtifactKind::PaperFigure,
         paper_ref: "Figure 14",
-        summary: "latency sweep x register-caching scheme",
+        summary: "latency sweep x register-caching scheme (fig4 = the 1x hit rates)",
         artifacts: "fig14.{csv,json} (fig14-smN for multi-SM runs)",
         params: &SUITE_PARAMS,
         build: |params| {
@@ -1481,6 +1482,11 @@ static CAMPAIGNS: [Campaign; 12] = [
         render: render_power,
         fail_on_point_failure: false,
     },
+    analytical::TABLE1,
+    analytical::FIG2,
+    analytical::TABLE3,
+    analytical::TABLE4,
+    analytical::OVERHEADS,
     Campaign {
         name: "repro",
         aliases: &["all"],
@@ -1730,10 +1736,10 @@ pub fn describe_text(campaign: &Campaign) -> String {
             param.default
         ));
     }
-    out.push_str(&format!(
-        "  csv columns: {}\n",
-        crate::report::CSV_COLUMNS.join(", ")
-    ));
+    let columns = csv_columns(campaign);
+    if !columns.is_empty() {
+        out.push_str(&format!("  csv columns: {}\n", columns.join(", ")));
+    }
     if campaign.name == "interconnect" {
         out.push_str(&format!(
             "  extra csv columns: {}\n",
@@ -1782,14 +1788,18 @@ pub fn describe_value(campaign: &Campaign) -> serde::Value {
         ),
         (
             "csv_columns".to_string(),
-            Value::Array(
-                crate::report::CSV_COLUMNS
-                    .iter()
-                    .map(|c| string(c))
-                    .collect(),
-            ),
+            Value::Array(csv_columns(campaign).iter().map(|c| string(c)).collect()),
         ),
     ])
+}
+
+/// The standard CSV columns a campaign's reports carry; none for the
+/// analytical artifacts, which write no reports.
+fn csv_columns(campaign: &Campaign) -> &'static [&'static str] {
+    match campaign.kind {
+        ArtifactKind::Analytical => &[],
+        _ => &crate::report::CSV_COLUMNS,
+    }
 }
 
 #[cfg(test)]
@@ -1799,7 +1809,7 @@ mod tests {
     #[test]
     fn every_campaign_is_found_by_name_and_alias() {
         let registry = registry();
-        assert_eq!(registry.campaigns().len(), 12);
+        assert_eq!(registry.campaigns().len(), 17);
         for campaign in registry.campaigns() {
             assert!(std::ptr::eq(
                 registry.find(campaign.name).expect("found by name"),
@@ -1822,7 +1832,10 @@ mod tests {
         let len = names.len();
         names.dedup();
         assert_eq!(names.len(), len, "duplicate campaign name or alias");
-        assert!(registry.find("fig10").is_some(), "fig10 reaches power");
+        assert_eq!(registry.find("fig10").unwrap().name, "power");
+        assert_eq!(registry.find("fig3").unwrap().name, "fig9");
+        assert_eq!(registry.find("fig4").unwrap().name, "fig14");
+        assert_eq!(registry.find("figure2").unwrap().name, "fig2");
         assert_eq!(
             registry.find("noc").unwrap().name,
             "interconnect",
@@ -1869,12 +1882,15 @@ mod tests {
         assert!(message.contains("gpu-scale"), "{message}");
         assert!(message.contains("--sm-count N"), "hint present: {message}");
 
-        // --sm-count applies everywhere except the SM-axis campaigns.
+        // --sm-count applies to every simulated campaign except the
+        // SM-axis ones.
         let sm_count = registry.param("--sm-count").unwrap();
         for campaign in registry.campaigns() {
             assert_eq!(
                 campaign.accepts(sm_count),
-                campaign.name != "gpu-scale" && campaign.name != "interconnect"
+                campaign.kind != ArtifactKind::Analytical
+                    && campaign.name != "gpu-scale"
+                    && campaign.name != "interconnect"
             );
         }
 
@@ -1913,10 +1929,15 @@ mod tests {
             .scope_error(registry.find("gen-campaign").unwrap(), quick)
             .contains("--population"));
 
-        // --per-point-seeds stays globally applicable.
+        // --per-point-seeds applies to every simulated campaign.
         let per_point = registry.param("--per-point-seeds").unwrap();
         for campaign in registry.campaigns() {
-            assert!(campaign.accepts(per_point), "{}", campaign.name);
+            assert_eq!(
+                campaign.accepts(per_point),
+                campaign.kind != ArtifactKind::Analytical,
+                "{}",
+                campaign.name
+            );
         }
 
         // --trace belongs to trace-campaign alone.
@@ -2088,13 +2109,20 @@ mod tests {
                     param.flag
                 );
             }
-            for column in crate::report::CSV_COLUMNS {
+            for column in csv_columns(campaign) {
                 assert!(
                     text.contains(column),
                     "`describe {}` omits column {column}",
                     campaign.name
                 );
             }
+            // Analytical artifacts write no reports, so advertise no columns.
+            assert_eq!(
+                text.contains("csv columns"),
+                campaign.kind != ArtifactKind::Analytical,
+                "{}",
+                campaign.name
+            );
             let json = describe_value(campaign).to_json();
             for param in campaign.params {
                 assert!(
@@ -2111,7 +2139,7 @@ mod tests {
         }
         let parsed = serde::Value::parse_json(&list_json()).expect("list --json parses");
         match parsed {
-            serde::Value::Array(items) => assert_eq!(items.len(), 12),
+            serde::Value::Array(items) => assert_eq!(items.len(), 17),
             other => panic!("expected array, got {other:?}"),
         }
     }

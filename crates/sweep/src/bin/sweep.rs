@@ -414,6 +414,10 @@ mod tests {
                 "fig9",
                 &["--quick", "--out", "ci-out", "--cache", "ci-cache"],
             ),
+            ("fig3", &["--quick"]),
+            ("fig4", &["--quick"]),
+            ("table1", &[]),
+            ("table4", &["--quick"]),
             ("gen-campaign", &["--population", "8", "--seed", "7"]),
             ("gpu-scale", &["--sm-counts", "1,2,4,8"]),
             ("power", &["--quick", "--access-energy-pj", "75"]),

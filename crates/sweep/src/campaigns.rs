@@ -1,37 +1,34 @@
-//! Canonical campaign constructors — one per paper artifact.
+//! Canonical campaign constructors — one per simulated paper artifact.
 //!
-//! The `sweep` CLI, the `ltrf-bench` harness, and the regression tests must
-//! agree — byte for byte — on what "the Figure 9 campaign" or "the power
-//! sweep" means: the golden-file tests pin the CLI's CSV output, the bench
-//! harness's figure functions must reproduce the CLI's numbers, and a bench
-//! run must warm-hit a cache the CLI populated (and vice versa). Keeping
-//! every spec constructor here makes that agreement structural rather than
-//! a convention: there is exactly one definition of each campaign in the
-//! workspace, and every entry point calls it.
+//! The `sweep` CLI and the regression tests must agree — byte for byte — on
+//! what "the Figure 9 campaign" or "the power sweep" means: the golden-file
+//! tests pin the CLI's CSV output, and the benchmark rebuilds the same
+//! specs through the registry. Keeping every spec constructor here makes
+//! that agreement structural rather than a convention: there is exactly
+//! one definition of each campaign in the workspace, and every entry point
+//! calls it.
 //!
-//! | Constructor | Paper artifact | CLI entry point | Harness entry point |
-//! |---|---|---|---|
-//! | [`fig9_spec`] | Figure 9 (overall IPC) | `sweep fig9` | `fig9` binary |
-//! | [`fig10_spec`] | Figure 10 (RF power, config #7) | `sweep power` (the #7 slice) | `fig10` binary |
-//! | [`fig11_spec`] | Figure 11 (max tolerable latency) | `sweep fig11` | `fig11` binary |
-//! | [`fig12_spec`] | Figure 12 (interval-size sweep) | `sweep fig12` | `fig12` binary |
-//! | [`fig13_spec`] | Figure 13 (active-warp sweep) | `sweep fig13` | `fig13` binary |
-//! | [`fig14_spec`] | Figure 14 (scheme comparison) | `sweep fig14` | `fig14` binary |
-//! | [`table2_spec`] | Table 2 (design-point IPC) | `sweep table2` | `table2` binary |
-//! | [`power_sweep_spec`] | §6.4 power across all design points | `sweep power` | `fig10` binary (the #7 slice) |
-//! | [`gen_campaign_spec`] | beyond-paper generated populations | `sweep gen-campaign` | `gen_campaign` binary |
-//! | [`trace_campaign_spec`] | beyond-paper trace-driven workloads | `sweep trace-campaign` | `trace_campaign` binary |
-//! | [`interconnect_specs`] | beyond-paper SM↔L2 network study | `sweep interconnect` | `interconnect` binary |
-//! | [`repro_specs`] | the full artifact set | `sweep repro` | — |
+//! | Constructor | Paper artifact | CLI entry point |
+//! |---|---|---|
+//! | [`fig9_spec`] | Figure 9 (overall IPC); Figure 3 is its Ideal/BL slice on #6 | `sweep fig9` (`sweep fig3`) |
+//! | [`fig11_spec`] | Figure 11 (max tolerable latency) | `sweep fig11` |
+//! | [`fig12_spec`] | Figure 12 (interval-size sweep) | `sweep fig12` |
+//! | [`fig13_spec`] | Figure 13 (active-warp sweep) | `sweep fig13` |
+//! | [`fig14_spec`] | Figure 14 (scheme comparison); Figure 4 is its 1× slice | `sweep fig14` (`sweep fig4`) |
+//! | [`table2_spec`] | Table 2 (design-point IPC) | `sweep table2` |
+//! | [`power_sweep_spec`] | §6.4 power across all design points; Figure 10 is its #7 slice | `sweep power` (`sweep fig10`) |
+//! | [`gen_campaign_spec`] | beyond-paper generated populations | `sweep gen-campaign` |
+//! | [`trace_campaign_spec`] | beyond-paper trace-driven workloads | `sweep trace-campaign` |
+//! | [`interconnect_specs`] | beyond-paper SM↔L2 network study | `sweep interconnect` |
+//! | [`repro_specs`] | the full artifact set | `sweep repro` |
 //!
 //! Cache identity is per *point*, not per campaign: a point's key material
 //! is its workload, memory selection, seeding/normalization policy, and full
 //! [`ltrf_core::ExperimentConfig`] (including the power-model calibration).
-//! Campaigns that share points — `fig10_spec` is the configuration-#7 slice
-//! of [`power_sweep_spec`]; the quick fig9 matrix is a subset of the full
-//! one — therefore share cache entries, which is what makes a warm
-//! `sweep repro` rerun (and a bench rerun over a CLI-populated cache) hit
-//! 100%. See `REPRODUCING.md` for the artifact atlas.
+//! Campaigns that share points — the quick fig9 matrix is a subset of the
+//! full one, Table 2 contains Figure 9's points — therefore share cache
+//! entries, which is what makes a warm `sweep repro` rerun hit 100%. See
+//! `REPRODUCING.md` for the artifact atlas.
 
 use ltrf_core::Organization;
 use ltrf_sim::{InterconnectConfig, Topology};
@@ -149,7 +146,7 @@ fn latency_matrix<S: Into<String>>(
 
 /// The Figure 11 campaign: [`FIG11_ORGS`] × the given workloads × the
 /// paper's latency factors on configuration #1 — exactly what `sweep fig11`
-/// runs and what `ltrf-bench`'s `figure11` rows are derived from.
+/// runs.
 #[must_use]
 pub fn fig11_spec<S: Into<String>>(
     workloads: impl IntoIterator<Item = S>,
@@ -169,7 +166,7 @@ pub fn fig11_spec<S: Into<String>>(
 /// The Figure 12 campaign: LTRF × the given workloads × the paper's latency
 /// factors × [`FIG12_INTERVAL_SIZES`] registers per register-interval —
 /// exactly what `sweep fig12` runs (and what the golden-file regression
-/// test pins), and what `ltrf-bench`'s `figure12` series are derived from.
+/// test pins).
 #[must_use]
 pub fn fig12_spec<S: Into<String>>(
     workloads: impl IntoIterator<Item = S>,
@@ -189,7 +186,7 @@ pub fn fig12_spec<S: Into<String>>(
 
 /// The Figure 13 campaign: LTRF × the given workloads × the paper's latency
 /// factors × [`FIG13_WARP_COUNTS`] active warps — exactly what `sweep
-/// fig13` runs and what `ltrf-bench`'s `figure13` series are derived from.
+/// fig13` runs.
 #[must_use]
 pub fn fig13_spec<S: Into<String>>(
     workloads: impl IntoIterator<Item = S>,
@@ -209,7 +206,7 @@ pub fn fig13_spec<S: Into<String>>(
 
 /// The Figure 14 campaign: [`FIG14_ORGS`] × the given workloads × the
 /// paper's latency factors on configuration #1 — exactly what `sweep fig14`
-/// runs and what `ltrf-bench`'s `figure14` series are derived from.
+/// runs. Its 1× points are Figure 4's register-cache hit-rate study.
 #[must_use]
 pub fn fig14_spec<S: Into<String>>(
     workloads: impl IntoIterator<Item = S>,
@@ -239,27 +236,6 @@ pub fn table2_spec<S: Into<String>>(
         .workloads(workloads)
         .organizations(TABLE2_ORGS)
         .config_ids(1..=7)
-        .sm_counts([sm_count])
-        .seed_mode(seed_mode)
-        .normalize(true)
-        .build()
-}
-
-/// The Figure 10 campaign: [`POWER_ORGS`] × the given workloads on the DWM
-/// configuration #7, normalized — the paper's register-file power figure,
-/// and what `ltrf-bench`'s `figure10` rows are derived from. Its points are
-/// the configuration-#7 slice of [`power_sweep_spec`] (at the default
-/// calibration), so the two campaigns share cache entries.
-#[must_use]
-pub fn fig10_spec<S: Into<String>>(
-    workloads: impl IntoIterator<Item = S>,
-    sm_count: usize,
-    seed_mode: SeedMode,
-) -> SweepSpec {
-    SweepSpec::builder(campaign_name("fig10", sm_count))
-        .workloads(workloads)
-        .organizations(POWER_ORGS)
-        .config_ids([7])
         .sm_counts([sm_count])
         .seed_mode(seed_mode)
         .normalize(true)
@@ -338,8 +314,7 @@ pub fn repro_specs<S: Into<String> + Clone>(
 
 /// The GPU-scaling campaign: BL and LTRF × the given workloads on
 /// configuration #6 across an SM-count axis, normalized, grids weak-scaled
-/// — exactly what `sweep gpu-scale` runs and what `ltrf-bench`'s
-/// `gpu_scale` rows aggregate.
+/// — exactly what `sweep gpu-scale` runs.
 #[must_use]
 pub fn gpu_scale_spec<S: Into<String>>(
     workloads: impl IntoIterator<Item = S>,
@@ -413,8 +388,7 @@ impl GenCampaignParams {
 }
 
 /// A generated-workload campaign: [`GEN_CAMPAIGN_ORGS`] × the population on
-/// configuration #6, normalized — exactly what `sweep gen-campaign` runs and
-/// what `ltrf-bench`'s `gen_campaign` experiment aggregates.
+/// configuration #6, normalized — exactly what `sweep gen-campaign` runs.
 ///
 /// # Panics
 ///
@@ -479,8 +453,7 @@ impl TraceCampaignParams {
 
 /// A trace-driven campaign: [`GEN_CAMPAIGN_ORGS`] (the paper's headline
 /// BL/LTRF pair) × the lowered trace workloads on configuration #6,
-/// normalized — exactly what `sweep trace-campaign` runs and what
-/// `ltrf-bench`'s `trace_campaign` experiment aggregates.
+/// normalized — exactly what `sweep trace-campaign` runs.
 ///
 /// # Panics
 ///
@@ -563,8 +536,7 @@ impl InterconnectCampaignParams {
 
 /// The interconnect-topology campaign: LTRF × the given workloads on
 /// configuration #6 across the SM-count axis, un-normalized, one spec per
-/// selected topology — exactly what `sweep interconnect` runs and what
-/// `ltrf-bench`'s `interconnect` experiment aggregates. Single-SM points
+/// selected topology — exactly what `sweep interconnect` runs. Single-SM points
 /// never touch the shared network and serve as the contention-free floor of
 /// every topology's curve.
 ///
@@ -658,25 +630,15 @@ mod tests {
     fn power_specs_slice_and_fingerprint() {
         let workloads = ["hotspot"];
         let seed = SeedMode::Fixed(CAMPAIGN_SEED);
-        let fig10 = fig10_spec(workloads, 1, seed);
-        assert_eq!(fig10.name, "fig10");
-        assert_eq!(fig10.points.len(), POWER_ORGS.len());
-        assert!(fig10.normalize);
-
         let power = power_sweep_spec(workloads, 1, seed, PowerParams::default());
         assert_eq!(power.name, "power");
         assert_eq!(power.points.len(), POWER_ORGS.len() * 7);
-        // fig10 is the configuration-#7 slice of the default-calibration
-        // power sweep: identical cache identities.
+        assert!(power.normalize);
         let power_materials: std::collections::BTreeSet<String> = power
             .points
             .iter()
             .map(|p| crate::cache::point_key(&power, p).material)
             .collect();
-        assert!(fig10
-            .points
-            .iter()
-            .all(|p| power_materials.contains(&crate::cache::point_key(&fig10, p).material)));
 
         // A non-default calibration fingerprints the report name and changes
         // every cache identity.
@@ -697,6 +659,69 @@ mod tests {
         assert!(recalibrated.points.iter().all(
             |p| !power_materials.contains(&crate::cache::point_key(&recalibrated, p).material)
         ));
+    }
+
+    /// `sweep fig3` runs fig9 and `sweep fig4` runs fig14: the specs the
+    /// two preliminary studies used to build are slices of those campaigns.
+    #[test]
+    fn fig3_and_fig4_are_slices_of_fig9_and_fig14() {
+        let workloads = ltrf_workloads::QUICK_SUBSET;
+        let seed = SeedMode::Fixed(CAMPAIGN_SEED);
+
+        // Figure 3 (Ideal/BL on configuration #6, normalized) has fig9's
+        // exact key material.
+        let fig3 = SweepSpec::builder("fig3")
+            .workloads(workloads)
+            .organizations([Organization::Ideal, Organization::Baseline])
+            .config_ids([6])
+            .seed_mode(seed)
+            .normalize(true)
+            .build();
+        let fig9 = fig9_spec(workloads, 1, seed);
+        let fig9_materials: std::collections::BTreeSet<String> = fig9
+            .points
+            .iter()
+            .map(|p| crate::cache::point_key(&fig9, p).material)
+            .collect();
+        assert_eq!(fig3.points.len(), 2 * workloads.len());
+        assert!(fig3
+            .points
+            .iter()
+            .all(|p| fig9_materials.contains(&crate::cache::point_key(&fig3, p).material)));
+
+        // Figure 4 (RFC/SHRF/LTRF on configuration #1, no latency
+        // override) computes exactly what fig14's 1x points compute.
+        let orgs = [Organization::Rfc, Organization::Shrf, Organization::Ltrf];
+        let fig4 = SweepSpec::builder("fig4")
+            .workloads(workloads)
+            .organizations(orgs)
+            .config_ids([1])
+            .seed_mode(seed)
+            .normalize(false)
+            .build();
+        let fig14 = fig14_spec(workloads, 1, seed);
+        let one_x = SweepSpec {
+            points: fig14
+                .points
+                .iter()
+                .filter(|p| {
+                    orgs.contains(&p.config.organization) && p.config.latency_factor() == 1.0
+                })
+                .cloned()
+                .collect(),
+            ..fig14
+        };
+        let outcomes = |spec: &SweepSpec| {
+            crate::run_sweep(spec, &crate::ExecutorOptions::default())
+                .records
+                .into_iter()
+                .map(|r| ((r.point.workload, r.point.config.organization), r.outcome))
+                .collect::<std::collections::BTreeMap<_, _>>()
+        };
+        let fig4_outcomes = outcomes(&fig4);
+        assert_eq!(fig4_outcomes.len(), orgs.len() * workloads.len());
+        assert!(fig4_outcomes.values().all(|o| o.data().is_some()));
+        assert_eq!(fig4_outcomes, outcomes(&one_x));
     }
 
     #[test]

@@ -164,8 +164,7 @@ impl SweepResults {
 }
 
 /// Mean metrics over a set of successful points — the aggregation behind
-/// the GPU-scaling summaries (the `sweep gpu-scale` table and
-/// `ltrf-bench`'s `gpu_scale` rows share this so the two cannot drift).
+/// the per-`(sm_count, organization)` summary tables.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointMeans {
     /// Number of points aggregated.
@@ -189,36 +188,6 @@ pub struct PointMeans {
 }
 
 impl PointMeans {
-    /// The GPU-scaling pivot: means per `(sm_count, organization)` cell, in
-    /// the given axis order, skipping empty cells. Both the `sweep
-    /// gpu-scale` summary table and `ltrf-bench`'s `gpu_scale` rows are
-    /// this call, so the grouping logic cannot drift between them.
-    #[must_use]
-    pub fn grouped(
-        results: &SweepResults,
-        sm_counts: &[usize],
-        organizations: &[ltrf_core::Organization],
-    ) -> Vec<(usize, ltrf_core::Organization, PointMeans)> {
-        let mut cells = Vec::new();
-        for &sm_count in sm_counts {
-            for &org in organizations {
-                let means = PointMeans::over(
-                    results
-                        .successes()
-                        .filter(|(r, _)| {
-                            r.point.config.sm_count == sm_count
-                                && r.point.config.organization == org
-                        })
-                        .map(|(_, d)| d),
-                );
-                if let Some(means) = means {
-                    cells.push((sm_count, org, means));
-                }
-            }
-        }
-        cells
-    }
-
     /// Averages the given points; `None` when the iterator is empty.
     pub fn over<'a>(points: impl IntoIterator<Item = &'a PointData>) -> Option<Self> {
         let mut acc = PointMeansAcc::default();
@@ -285,10 +254,7 @@ impl PointMeansAcc {
 
 /// Mean IPC relative to each workload's own 1× point, per latency factor,
 /// over the successful points selected by `select` — the canonical
-/// aggregation behind the Figure 12/13/14 latency-sweep summaries. The
-/// `sweep` CLI's fig12/13/14 tables and `ltrf-bench`'s `SweepSeries` rows
-/// are both this call, so the relative-IPC convention cannot drift between
-/// the two entry points.
+/// aggregation behind the Figure 12/13/14 latency-sweep summaries.
 ///
 /// A workload contributes only a *complete* curve: if its 1× reference is
 /// missing or non-positive, or any factor's point is absent, the whole
@@ -1178,9 +1144,8 @@ fn simulate_point(
 }
 
 /// Order-preserving parallel map over arbitrary items with panic isolation:
-/// the engine's raw primitive, re-exported for harness code (the per-figure
-/// experiment functions in `ltrf-bench`) that parallelizes shapes a
-/// cross-product spec does not express.
+/// the engine's raw primitive, for work a cross-product spec does not
+/// express (the compiler-only Table 4 and overhead artifacts).
 pub fn parallel_points<T, R, F>(items: &[T], threads: Option<usize>, f: F) -> Vec<Result<R, String>>
 where
     T: Sync,

@@ -50,16 +50,15 @@
 //!   definition per paper artifact — and [`api`] wraps them in the campaign
 //!   registry: typed [`Campaign`] definitions (name/aliases, parameter
 //!   schema, artifact kind, summary renderer) that the CLI *generates* its
-//!   subcommands, `--help` text, and flag scoping from, that the bench
-//!   harness (which attaches this engine's cache when `LTRF_CACHE_DIR` is
-//!   set) dispatches through, and that the registry/golden/differential
-//!   regression tests pin against `REPRODUCING.md`.
+//!   subcommands, `--help` text, and flag scoping from, and that the
+//!   registry/golden/differential regression tests pin against
+//!   `REPRODUCING.md`. The analytical artifacts (Table 1, Figure 2,
+//!   Table 3, Table 4, the §4.3 overheads) are registry entries too, whose
+//!   renderers live in [`analytical`] and whose rows [`experiments`]
+//!   computes.
 //!
 //! `REPRODUCING.md` at the repository root maps every artifact to its
 //! command, runtime, CSV schema, and cache behaviour.
-//!
-//! The per-figure harness in `ltrf-bench` drives its parallelism through
-//! [`parallel_points`], so every `fig*`/`table*` binary rides this engine.
 //!
 //! ```
 //! use ltrf_sweep::{run_sweep, ExecutorOptions, SweepSpec};
@@ -77,10 +76,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod analytical;
 pub mod api;
 pub mod cache;
 pub mod campaigns;
 pub mod executor;
+pub mod experiments;
 pub mod hash;
 pub mod journal;
 pub mod packed;
@@ -90,10 +91,9 @@ pub mod report;
 pub mod spec;
 pub mod stream;
 
-/// The fixed campaign seed shared by every driver of the engine (the
-/// per-figure harness in `ltrf-bench` and the `sweep` CLI), so their cached
-/// points are interchangeable. There is deliberately exactly one copy of
-/// this literal in the workspace.
+/// The fixed campaign seed shared by every driver of the engine, so their
+/// cached points are interchangeable. There is deliberately exactly one
+/// copy of this literal in the workspace.
 pub const CAMPAIGN_SEED: u64 = 0x17F2_2018;
 
 pub use api::{registry, ArtifactKind, Campaign, CampaignParams, CampaignRegistry, ParamSpec};

@@ -209,8 +209,8 @@ impl RunningAggregates {
         }
     }
 
-    /// The fallback for non-streaming callers: folds retained results in
-    /// record (= spec) order.
+    /// Folds retained results in record (= spec) order: the batch reference
+    /// the streamed aggregates must equal.
     #[must_use]
     pub fn from_results(results: &SweepResults) -> Self {
         let mut agg = RunningAggregates::default();
@@ -222,9 +222,7 @@ impl RunningAggregates {
 
     /// The GPU-scaling pivot over the folded points: means per
     /// `(sm_count, organization)` cell in the given axis order, skipping
-    /// empty cells — the same table as
-    /// [`PointMeans::grouped`](crate::PointMeans::grouped) over retained
-    /// results.
+    /// empty cells.
     #[must_use]
     pub fn means(
         &self,

@@ -1,7 +1,7 @@
 //! Golden-file regression test for the `sweep fig12` CSV output.
 //!
-//! The campaign spec comes from the same canonical constructor the CLI and
-//! the `ltrf-bench` harness use ([`ltrf_sweep::campaigns::fig12_spec`]),
+//! The campaign spec comes from the same canonical constructor the CLI
+//! uses ([`ltrf_sweep::campaigns::fig12_spec`]),
 //! over the CLI's `--quick` workload subset with the fixed campaign seed —
 //! so the committed fixture pins the exact rows `sweep fig12 --quick`
 //! emits. Figure 12 exercises axes the fig9 golden file does not (the
