@@ -70,8 +70,7 @@ pub use organizations::{
 };
 pub use overheads::{overhead_report, OverheadInputs, OverheadReport};
 pub use runner::{
-    normalize, reference_config, run_experiment, run_experiment_via_gpu,
-    run_experiment_via_gpu_with_engine, run_experiment_with_engine, run_normalized,
+    normalize, reference_config, run_experiment, run_experiment_with_engine, run_normalized,
     ExperimentConfig, NormalizedResult, RunResult,
 };
 pub use wcb::{WarpControlBlock, WcbStorageCost};

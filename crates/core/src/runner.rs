@@ -5,14 +5,12 @@ use serde::{Deserialize, Serialize};
 
 use ltrf_isa::Kernel;
 use ltrf_sim::{
-    simulate_gpu_with, simulate_with, EngineKind, GpuConfig, GpuStats, InterconnectConfig,
-    MemoryBehavior, SimStats, SimWorkload, SmConfig,
+    simulate_gpu_with, EngineKind, GpuConfig, GpuStats, InterconnectConfig, MemoryBehavior,
+    SimStats, SimWorkload, SmConfig,
 };
 use ltrf_tech::{PowerBreakdown, PowerParams, RegFileConfig, RegFilePowerModel};
 
-use crate::organizations::{
-    build_organization, build_organization_fleet, LtrfParams, Organization,
-};
+use crate::organizations::{build_organization_fleet, LtrfParams, Organization};
 use crate::CoreError;
 
 /// Everything needed to run one kernel under one register-file design.
@@ -237,11 +235,12 @@ fn ltrf_params(config: &ExperimentConfig) -> LtrfParams {
 
 /// Runs one kernel under one experiment configuration.
 ///
-/// With `sm_count == 1` this takes the classic single-SM path
-/// ([`ltrf_sim::simulate`], `gpu: None`); with more SMs it runs the
-/// whole-GPU engine. [`run_experiment_via_gpu`] forces the latter at any SM
-/// count, and the differential regression tests pin the two paths to each
-/// other at `sm_count == 1`.
+/// Every SM count takes the same path: one compilation and one model per SM
+/// ([`build_organization_fleet`]), the whole-GPU simulation
+/// ([`ltrf_sim::simulate_gpu_with`], which runs a lone SM with a private
+/// hierarchy), and the whole-GPU aggregate ([`GpuStats::aggregate`]), which
+/// at one SM is that SM's statistics. The per-SM [`GpuStats`] are kept in
+/// [`RunResult::gpu`] only when more than one SM ran.
 ///
 /// # Errors
 ///
@@ -273,63 +272,6 @@ pub fn run_experiment_with_engine(
     config: &ExperimentConfig,
     engine: EngineKind,
 ) -> Result<RunResult, CoreError> {
-    if config.sm_count.max(1) == 1 {
-        let sm = config.sm_config();
-        let mut built = build_organization(
-            config.organization,
-            kernel,
-            sm.regfile,
-            ltrf_params(config),
-            config.rfc_entries_per_warp,
-        )?;
-        let workload = SimWorkload::new(built.kernel.clone())
-            .with_memory(memory)
-            .with_seed(seed);
-        let stats = simulate_with(&workload, &sm, built.model.as_mut(), engine);
-        Ok(finish_run(stats, None, config))
-    } else {
-        run_experiment_via_gpu_with_engine(kernel, memory, seed, config, engine)
-    }
-}
-
-/// Runs one kernel through the whole-GPU engine ([`ltrf_sim::simulate_gpu`])
-/// regardless of `sm_count` — with one SM this exercises the engine's
-/// single-SM delegation and its statistics aggregation instead of calling
-/// [`ltrf_sim::simulate`] directly.
-///
-/// The result must be bit-identical to [`run_experiment`]'s at
-/// `sm_count == 1` apart from the `gpu` provenance field (which this path
-/// always populates); the differential regression test in
-/// `tests/differential_gpu.rs` asserts exactly that across a generated
-/// workload population.
-///
-/// # Errors
-///
-/// Propagates compiler failures for software-managed organizations.
-pub fn run_experiment_via_gpu(
-    kernel: &Kernel,
-    memory: MemoryBehavior,
-    seed: u64,
-    config: &ExperimentConfig,
-) -> Result<RunResult, CoreError> {
-    run_experiment_via_gpu_with_engine(kernel, memory, seed, config, EngineKind::default())
-}
-
-/// [`run_experiment_via_gpu`] with an explicitly chosen simulator engine
-/// (see [`run_experiment_with_engine`] for why the engine kind is not part
-/// of the experiment configuration).
-///
-/// # Errors
-///
-/// Propagates compiler failures for software-managed organizations.
-pub fn run_experiment_via_gpu_with_engine(
-    kernel: &Kernel,
-    memory: MemoryBehavior,
-    seed: u64,
-    config: &ExperimentConfig,
-    engine: EngineKind,
-) -> Result<RunResult, CoreError> {
-    let sm = config.sm_config();
     let sm_count = config.sm_count.max(1);
     // Weak scaling: the grid *and* the memory footprint grow with the
     // SM count, so every SM receives the same per-SM work — including
@@ -347,7 +289,7 @@ pub fn run_experiment_via_gpu_with_engine(
     let (compiled_kernel, mut models) = build_organization_fleet(
         config.organization,
         &scaled,
-        sm.regfile,
+        config.sm_config().regfile,
         ltrf_params(config),
         config.rfc_entries_per_warp,
         sm_count,
@@ -355,14 +297,17 @@ pub fn run_experiment_via_gpu_with_engine(
     let workload = SimWorkload::new(compiled_kernel)
         .with_memory(scaled_memory)
         .with_seed(seed);
-    let gpu = config.gpu_config();
-    let gpu_stats = simulate_gpu_with(&workload, &gpu, &mut models, engine);
-    Ok(finish_run(gpu_stats.aggregate(), Some(gpu_stats), config))
+    let gpu_stats = simulate_gpu_with(&workload, &config.gpu_config(), &mut models, engine);
+    let stats = gpu_stats.aggregate();
+    Ok(finish_run(
+        stats,
+        (sm_count > 1).then_some(gpu_stats),
+        config,
+    ))
 }
 
 /// Folds simulation statistics into a [`RunResult`]: IPC, the register-file
-/// power evaluation, and the cache-hit provenance — shared by the single-SM
-/// and whole-GPU paths so the reporting conventions cannot drift.
+/// power evaluation, and the cache-hit provenance.
 fn finish_run(
     stats: SimStats,
     gpu_stats: Option<GpuStats>,

@@ -1,20 +1,21 @@
-//! Differential regression test: the whole-GPU engine at `sm_count == 1`
-//! against the single-SM engine.
+//! Differential regression test: the experiment runner at one SM against
+//! the layers it composes, called by hand.
 //!
-//! PR 2 introduced `ltrf_sim::simulate_gpu` with the guarantee that a one-SM
-//! GPU reproduces the validated single-SM path bit for bit (same residency
-//! rule, same private hierarchy, statistics aggregation included). That
-//! guarantee was originally checked by hand — one CSV comparison of `sweep
-//! fig9` output before and after the change. This test automates it the way
-//! VADL-style multi-path simulators do: a generated workload population wide
-//! enough to hit every organization, loop shape, and memory profile, with
-//! every member asserted *bit-identical* across the two paths (exact `f64`
-//! equality, not tolerance comparison — the paths must take the same
+//! `run_experiment_with_engine` has one body for every SM count: it builds
+//! one register-file model per SM, runs the whole-GPU simulation and reports
+//! the whole-GPU aggregate (`GpuStats::aggregate`). At one SM that is only
+//! correct if the aggregate of a lone SM is that SM's statistics, field for
+//! field. This test pins it the way VADL-style multi-path simulators do: a
+//! generated workload population wide enough to hit every organization,
+//! loop shape, and memory profile, on both engines, with every member
+//! asserted *bit-identical* to `build_organization` + `simulate_with` (exact
+//! `f64` equality, not tolerance comparison — the paths must take the same
 //! floating-point operations in the same order).
 
 use ltrf_core::{
-    run_experiment, run_experiment_via_gpu, ExperimentConfig, Organization, RunResult,
+    build_organization, run_experiment_with_engine, ExperimentConfig, LtrfParams, Organization,
 };
+use ltrf_sim::{simulate_with, EngineKind, SimWorkload};
 use ltrf_workloads::{GeneratorConfig, WorkloadGenerator};
 
 /// Population size: large enough to cycle every organization several times
@@ -45,45 +46,41 @@ fn gpu_engine_at_one_sm_is_bit_identical_to_the_single_sm_engine() {
         assert_eq!(config.sm_count, 1);
         let seed = 1000 + i as u64;
         let memory = workload.memory();
-
-        let single = run_experiment(&workload.kernel, memory, seed, &config)
-            .expect("single-SM path runs every generated member");
-        let via_gpu = run_experiment_via_gpu(&workload.kernel, memory, seed, &config)
-            .expect("GPU path runs every generated member");
-
-        // The classic path records no GPU provenance; the forced path
-        // always does, and its one-SM run must carry the very same
-        // statistics.
-        assert!(single.gpu.is_none());
-        let gpu = via_gpu
-            .gpu
-            .as_ref()
-            .unwrap_or_else(|| panic!("member {i}: forced GPU path must carry GpuStats"));
-        assert_eq!(gpu.sm_count, 1, "member {i}");
-        assert_eq!(
-            gpu.per_sm.len(),
-            1,
-            "member {i}: one SM reports one per-SM entry"
-        );
-        assert_eq!(
-            gpu.per_sm[0],
-            single.stats,
-            "member {i} ({}, {org}): the delegated SM's statistics drifted",
-            workload.name()
-        );
-
-        // Bit-identical RunResults apart from the provenance field: every
-        // aggregate statistic, the IPC, the power breakdown, and the cache
-        // hit rate — all under exact equality.
-        let flattened = RunResult {
-            gpu: None,
-            ..via_gpu.clone()
+        let sm = config.sm_config();
+        let params = LtrfParams {
+            registers_per_interval: config.registers_per_interval,
+            active_warps: config.active_warps,
+            liveness_aware: org == Organization::LtrfPlus,
         };
-        assert_eq!(
-            flattened,
-            single,
-            "member {i} ({}, {org}): GPU path at sm_count=1 diverged from the single-SM engine",
-            workload.name()
-        );
+
+        for engine in [EngineKind::Fast, EngineKind::Reference] {
+            let result =
+                run_experiment_with_engine(&workload.kernel, memory, seed, &config, engine)
+                    .expect("the runner runs every generated member");
+            let mut built = build_organization(
+                org,
+                &workload.kernel,
+                sm.regfile,
+                params,
+                config.rfc_entries_per_warp,
+            )
+            .expect("every generated member compiles");
+            let run = SimWorkload::new(built.kernel.clone())
+                .with_memory(memory)
+                .with_seed(seed);
+            let stats = simulate_with(&run, &sm, built.model.as_mut(), engine);
+
+            let context = format!("member {i} ({}, {org}, {engine:?})", workload.name());
+            assert!(result.gpu.is_none(), "{context}: one SM keeps no GpuStats");
+            assert_eq!(
+                result.stats, stats,
+                "{context}: the one-SM aggregate drifted from the SM's statistics"
+            );
+            assert_eq!(result.ipc, stats.ipc(), "{context}");
+            assert_eq!(
+                result.cache_hit_rate, stats.register_cache_hit_rate,
+                "{context}"
+            );
+        }
     }
 }

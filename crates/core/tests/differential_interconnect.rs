@@ -21,7 +21,7 @@
 
 use std::path::PathBuf;
 
-use ltrf_core::{run_experiment_via_gpu_with_engine, ExperimentConfig, Organization};
+use ltrf_core::{run_experiment_with_engine, ExperimentConfig, Organization};
 use ltrf_sim::EngineKind;
 use ltrf_workloads::{GeneratorConfig, WorkloadGenerator};
 use serde::Value;
@@ -67,7 +67,7 @@ fn observed_lines() -> Vec<String> {
                 for kind in [EngineKind::Fast, EngineKind::Reference] {
                     let config = ExperimentConfig::for_table2(*org, 6).with_sm_count(sm_count);
                     let seed = 7_000 + member as u64;
-                    let result = run_experiment_via_gpu_with_engine(
+                    let result = run_experiment_with_engine(
                         &workload.kernel,
                         workload.memory(),
                         seed,
@@ -75,7 +75,10 @@ fn observed_lines() -> Vec<String> {
                         kind,
                     )
                     .expect("shared-memory path runs every member");
-                    let gpu = result.gpu.as_ref().expect("forced GPU path carries stats");
+                    // The whole-GPU aggregate: at 1 SM the lone SM's own
+                    // statistics, at N SMs the shared L2/DRAM totals.
+                    let stats = &result.stats;
+                    let memory = &stats.memory;
                     let fields = vec![
                         ("org".to_string(), Value::Str(org.to_string())),
                         ("member".to_string(), Value::UInt(member as u64)),
@@ -85,19 +88,25 @@ fn observed_lines() -> Vec<String> {
                             Value::Str(engine_label(kind).to_string()),
                         ),
                         ("ipc".to_string(), Value::Float(result.ipc)),
-                        ("cycles".to_string(), Value::UInt(gpu.cycles)),
-                        ("instructions".to_string(), Value::UInt(gpu.instructions)),
-                        ("l2_hits".to_string(), Value::UInt(gpu.l2.hits)),
-                        ("l2_misses".to_string(), Value::UInt(gpu.l2.misses)),
+                        ("cycles".to_string(), Value::UInt(stats.cycles)),
+                        ("instructions".to_string(), Value::UInt(stats.instructions)),
+                        ("l2_hits".to_string(), Value::UInt(memory.llc.hits)),
+                        ("l2_misses".to_string(), Value::UInt(memory.llc.misses)),
                         (
                             "l2_queue_wait_cycles".to_string(),
-                            Value::UInt(gpu.l2_queue_wait_cycles),
+                            Value::UInt(memory.l2_queue_wait_cycles),
                         ),
-                        ("dram_requests".to_string(), Value::UInt(gpu.dram.requests)),
-                        ("dram_row_hits".to_string(), Value::UInt(gpu.dram.row_hits)),
+                        (
+                            "dram_requests".to_string(),
+                            Value::UInt(memory.dram.requests),
+                        ),
+                        (
+                            "dram_row_hits".to_string(),
+                            Value::UInt(memory.dram.row_hits),
+                        ),
                         (
                             "dram_queue_wait_cycles".to_string(),
-                            Value::UInt(gpu.dram.queue_wait_cycles),
+                            Value::UInt(memory.dram.queue_wait_cycles),
                         ),
                     ];
                     lines.push(Value::Object(fields).to_json());

@@ -165,7 +165,7 @@ impl RegFileTiming {
 /// The `memory` field describes the whole hierarchy as one SM sees it: the
 /// L1 fields are private per-SM structures, while the LLC/DRAM fields
 /// describe the chip-level shared structures (a single SM simulation models
-/// them without cross-SM contention; [`crate::simulate_gpu`] shares them).
+/// them without cross-SM contention; [`crate::simulate_gpu_with`] shares them).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SmConfig {
     /// Core clock, in MHz (1137 MHz).

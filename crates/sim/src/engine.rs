@@ -21,7 +21,7 @@
 //! Simplifications relative to GPGPU-Sim, none of which change which
 //! register-file organization wins: barriers are modelled as a fixed
 //! long-latency operation rather than an inter-warp rendezvous, and only one
-//! "wave" of resident warps is executed per kernel. [`simulate`] runs one SM
+//! "wave" of resident warps is executed per kernel. [`simulate_with`] runs one SM
 //! (the paper's workloads behave homogeneously across SMs, so single-SM
 //! campaigns remain representative for register-file comparisons); the
 //! multi-SM mode in [`crate::gpu`] drives several of these engines in
@@ -31,7 +31,7 @@
 use ltrf_isa::{Kernel, Opcode, OpcodeClass};
 
 use crate::config::SmConfig;
-use crate::driver::{self, SmEngine};
+use crate::driver::{self, KernelEnd, SmEngine};
 use crate::fast::FastEngine;
 use crate::memory::{AddressGenerator, MemoryBehavior, MemoryHierarchy};
 use crate::regfile::RegisterFileModel;
@@ -90,43 +90,44 @@ pub enum EngineKind {
     Reference,
 }
 
-/// Runs `workload` on one SM with the given register-file organization,
-/// using the default (fast) engine.
-pub fn simulate(
-    workload: &SimWorkload,
-    config: &SmConfig,
-    regfile: &mut dyn RegisterFileModel,
-) -> SimStats {
-    simulate_with(workload, config, regfile, EngineKind::default())
-}
-
-/// Runs `workload` on one SM with an explicitly chosen engine
-/// implementation. [`EngineKind::Reference`] exists for differential testing
-/// and debugging; it is never faster.
+/// Runs `workload` on one SM with a private memory hierarchy, the given
+/// register-file organization and an explicitly chosen engine
+/// implementation ([`EngineKind::default`] is the fast one;
+/// [`EngineKind::Reference`] exists for differential testing and debugging
+/// and is never faster).
+///
+/// The lone SM runs on the same lock-step driver as a whole GPU
+/// ([`crate::simulate_gpu_with`]). The two differ only in when the kernel
+/// ends: a lone SM drains its busy operand collectors to the next event
+/// after its last warp retired, where SMs that share memory stop at the
+/// cycle after.
 pub fn simulate_with(
     workload: &SimWorkload,
     config: &SmConfig,
     regfile: &mut dyn RegisterFileModel,
     kind: EngineKind,
 ) -> SimStats {
+    fn run<'a, E: SmEngine<'a>>(
+        workload: &'a SimWorkload,
+        config: &'a SmConfig,
+        regfile: &'a mut dyn RegisterFileModel,
+    ) -> SimStats {
+        let engine = E::lone(workload, config, regfile);
+        let (mut per_sm, _) =
+            driver::run_lockstep(vec![engine], config.max_cycles, KernelEnd::Drain);
+        per_sm.pop().expect("one SM")
+    }
     match kind {
-        EngineKind::Fast => driver::run_single(
-            FastEngine::new(workload, config, regfile),
-            config.max_cycles,
-        ),
-        EngineKind::Reference => {
-            driver::run_single(Engine::new(workload, config, regfile), config.max_cycles)
-        }
+        EngineKind::Fast => run::<FastEngine>(workload, config, regfile),
+        EngineKind::Reference => run::<Engine>(workload, config, regfile),
     }
 }
 
 /// The per-SM pipeline state machine.
 ///
-/// Private to the crate: [`simulate`] drives one engine to completion with
-/// idle-period fast-forwarding, and [`crate::gpu`] steps several engines in
-/// lock-step over shared memory. The two drivers use the same issue /
-/// refill / next-event primitives, so an `sm_count = 1` GPU and the classic
-/// single-SM simulation execute identical cycle-by-cycle schedules.
+/// Private to the crate: the lock-step driver ([`crate::driver`]) steps it
+/// through the [`SmEngine`] primitives, alone for [`simulate_with`] and
+/// beside other SMs over shared memory for [`crate::gpu`].
 pub(crate) struct Engine<'a> {
     kernel: &'a Kernel,
     config: &'a SmConfig,
@@ -140,30 +141,7 @@ pub(crate) struct Engine<'a> {
     finished: usize,
 }
 
-impl<'a> Engine<'a> {
-    pub(crate) fn new(
-        workload: &'a SimWorkload,
-        config: &'a SmConfig,
-        regfile: &'a mut dyn RegisterFileModel,
-    ) -> Self {
-        let kernel = &workload.kernel;
-        let launch_warps = kernel.launch().total_warps().min(usize::MAX as u64) as usize;
-        let resident = config
-            .resident_warps(kernel.regs_per_thread())
-            .min(launch_warps.max(1));
-        let seeds: Vec<u64> = (0..resident as u64)
-            .map(|i| workload.seed ^ (0x9E37 + i * 0x85EB_CA6B))
-            .collect();
-        <Engine as SmEngine>::with_parts(
-            kernel,
-            config,
-            regfile,
-            MemoryHierarchy::new(&config.memory),
-            AddressGenerator::new(workload.memory, resident, workload.seed),
-            &seeds,
-        )
-    }
-
+impl Engine<'_> {
     /// Attempts to issue one instruction from `warp_id`. Returns `true` on
     /// success.
     fn try_issue(&mut self, warp_id: WarpId, cycle: Cycle) -> bool {
@@ -537,7 +515,7 @@ mod tests {
         let workload = SimWorkload::new(kernel);
         let config = small_config();
         let mut rf = DirectRegisterFile::new(config.regfile);
-        let stats = simulate(&workload, &config, &mut rf);
+        let stats = simulate_with(&workload, &config, &mut rf, EngineKind::default());
         assert!(!stats.truncated);
         assert_eq!(stats.warps_resident, 8);
         assert_eq!(stats.warps_completed, 8);
@@ -552,7 +530,7 @@ mod tests {
         let workload = SimWorkload::new(kernel);
         let config = small_config();
         let mut rf = DirectRegisterFile::new(config.regfile);
-        let stats = simulate(&workload, &config, &mut rf);
+        let stats = simulate_with(&workload, &config, &mut rf, EngineKind::default());
         assert!(!stats.truncated);
         assert_eq!(stats.instructions, 4 * per_warp);
         assert!(stats.memory.global_requests >= 4 * 10);
@@ -568,10 +546,10 @@ mod tests {
         let config = small_config();
         let workload = SimWorkload::new(kernel);
         let mut fast = DirectRegisterFile::new(config.regfile);
-        let fast_stats = simulate(&workload, &config, &mut fast);
+        let fast_stats = simulate_with(&workload, &config, &mut fast, EngineKind::default());
         let slow_config = small_config().with_mrf_latency_factor(6.3);
         let mut slow = DirectRegisterFile::new(slow_config.regfile);
-        let slow_stats = simulate(&workload, &slow_config, &mut slow);
+        let slow_stats = simulate_with(&workload, &slow_config, &mut slow, EngineKind::default());
         assert!(
             slow_stats.ipc() < fast_stats.ipc(),
             "6.3x register file latency must hurt a dependent ALU kernel: {} vs {}",
@@ -586,9 +564,9 @@ mod tests {
         let config = small_config();
         let workload = SimWorkload::new(kernel);
         let mut direct = DirectRegisterFile::new(config.regfile.with_latency_factor(6.3));
-        let direct_stats = simulate(&workload, &config, &mut direct);
+        let direct_stats = simulate_with(&workload, &config, &mut direct, EngineKind::default());
         let mut ideal = IdealRegisterFile::new(config.regfile);
-        let ideal_stats = simulate(&workload, &config, &mut ideal);
+        let ideal_stats = simulate_with(&workload, &config, &mut ideal, EngineKind::default());
         assert!(ideal_stats.ipc() >= direct_stats.ipc());
     }
 
@@ -606,13 +584,13 @@ mod tests {
         let workload =
             SimWorkload::new(kernel.clone()).with_memory(MemoryBehavior::cache_resident());
         let mut rf = DirectRegisterFile::new(config.regfile);
-        let few = simulate(&workload, &config, &mut rf);
+        let few = simulate_with(&workload, &config, &mut rf, EngineKind::default());
         let config8 = SmConfig {
             active_warps: 8,
             ..config
         };
         let mut rf8 = DirectRegisterFile::new(config8.regfile);
-        let many = simulate(&workload, &config8, &mut rf8);
+        let many = simulate_with(&workload, &config8, &mut rf8, EngineKind::default());
         assert!(
             many.ipc() > few.ipc(),
             "8 active warps should beat 1 on a latency-bound kernel: {} vs {}",
@@ -628,12 +606,12 @@ mod tests {
         let workload = SimWorkload::new(kernel);
         let config = SmConfig::default();
         let mut rf = DirectRegisterFile::new(config.regfile);
-        let stats = simulate(&workload, &config, &mut rf);
+        let stats = simulate_with(&workload, &config, &mut rf, EngineKind::default());
         assert_eq!(stats.warps_resident, 16);
         // An 8x register file lifts the cap (launch provides 8*64 warps).
         let big = SmConfig::default().with_regfile_capacity_factor(8.0);
         let mut rf2 = DirectRegisterFile::new(big.regfile);
-        let stats2 = simulate(&workload, &big, &mut rf2);
+        let stats2 = simulate_with(&workload, &big, &mut rf2, EngineKind::default());
         assert_eq!(stats2.warps_resident, 64);
     }
 
@@ -705,7 +683,7 @@ mod tests {
             ..SmConfig::default()
         };
         let mut rf = DirectRegisterFile::new(config.regfile);
-        let mut engine = Engine::new(&workload, &config, &mut rf);
+        let mut engine = Engine::lone(&workload, &config, &mut rf);
         engine.refill_active_pool(0);
         assert_eq!(engine.issue_cycle(0), 1);
         assert_eq!(engine.issue_cycle(1), 1);
@@ -739,7 +717,7 @@ mod tests {
             ..SmConfig::default()
         };
         let mut rf = DirectRegisterFile::new(config.regfile);
-        let mut engine = Engine::new(&workload, &config, &mut rf);
+        let mut engine = Engine::lone(&workload, &config, &mut rf);
         engine.refill_active_pool(0);
         // Warp 0's barrier demotes it from the pool mid-cycle; warp 1 must
         // still get its issue slot from the cycle-start snapshot.
@@ -761,7 +739,7 @@ mod tests {
             ..SmConfig::default()
         };
         let mut rf = DirectRegisterFile::new(config.regfile);
-        let mut engine = Engine::new(&workload, &config, &mut rf);
+        let mut engine = Engine::lone(&workload, &config, &mut rf);
         engine.warps[0].status = WarpStatus::InactiveUntil(3);
         engine.warps[1].status = WarpStatus::Finished;
         engine.warps[2].status = WarpStatus::InactiveUntil(2);
@@ -789,7 +767,7 @@ mod tests {
             ..SmConfig::default()
         };
         let mut rf = DirectRegisterFile::new(config.regfile);
-        let mut engine = Engine::new(&workload, &config, &mut rf);
+        let mut engine = Engine::lone(&workload, &config, &mut rf);
         engine.warps[0].status = WarpStatus::StalledUntil(100);
         engine.warps[1].status = WarpStatus::InactiveUntil(5);
         engine.active.push(WarpId(0));
@@ -807,7 +785,7 @@ mod tests {
         let workload = SimWorkload::new(kernel);
         let config = small_config();
         let mut rf = DirectRegisterFile::new(config.regfile);
-        let stats = simulate(&workload, &config, &mut rf);
+        let stats = simulate_with(&workload, &config, &mut rf, EngineKind::default());
         assert!(stats.regfile_accesses.mrf_reads > 0);
         assert!(stats.regfile_accesses.mrf_writes > 0);
         assert_eq!(stats.regfile_accesses.cycles, stats.cycles);

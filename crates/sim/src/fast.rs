@@ -40,7 +40,6 @@ use ltrf_isa::{
 
 use crate::config::SmConfig;
 use crate::driver::SmEngine;
-use crate::engine::SimWorkload;
 use crate::memory::{AddressGenerator, MemoryHierarchy};
 use crate::regfile::RegisterFileModel;
 use crate::stats::SimStats;
@@ -194,30 +193,7 @@ pub(crate) struct FastEngine<'a> {
     finished: usize,
 }
 
-impl<'a> FastEngine<'a> {
-    pub(crate) fn new(
-        workload: &'a SimWorkload,
-        config: &'a SmConfig,
-        regfile: &'a mut dyn RegisterFileModel,
-    ) -> Self {
-        let kernel = &workload.kernel;
-        let launch_warps = kernel.launch().total_warps().min(usize::MAX as u64) as usize;
-        let resident = config
-            .resident_warps(kernel.regs_per_thread())
-            .min(launch_warps.max(1));
-        let seeds: Vec<u64> = (0..resident as u64)
-            .map(|i| workload.seed ^ (0x9E37 + i * 0x85EB_CA6B))
-            .collect();
-        <FastEngine as SmEngine>::with_parts(
-            kernel,
-            config,
-            regfile,
-            MemoryHierarchy::new(&config.memory),
-            AddressGenerator::new(workload.memory, resident, workload.seed),
-            &seeds,
-        )
-    }
-
+impl FastEngine<'_> {
     /// Attempts to issue one instruction from `warp_id`. Returns `true` on
     /// success. Mirrors the reference engine's `try_issue` step for step.
     fn try_issue(&mut self, warp_id: WarpId, cycle: Cycle) -> bool {
@@ -602,6 +578,7 @@ impl<'a> SmEngine<'a> for FastEngine<'a> {
 mod tests {
     use super::*;
     use crate::config::SmConfig;
+    use crate::engine::SimWorkload;
     use crate::regfile::DirectRegisterFile;
     use ltrf_isa::{KernelBuilder, LaunchConfig};
 
@@ -628,7 +605,7 @@ mod tests {
             ..SmConfig::default()
         };
         let mut rf = DirectRegisterFile::new(config.regfile);
-        let mut engine = FastEngine::new(&workload, &config, &mut rf);
+        let mut engine = FastEngine::lone(&workload, &config, &mut rf);
         engine.pending_cursor = 2; // both warps have been activated once
         engine.status[0] = WarpStatus::StalledUntil(100);
         engine.status[1] = WarpStatus::InactiveUntil(5);
@@ -651,7 +628,7 @@ mod tests {
             ..SmConfig::default()
         };
         let mut rf = DirectRegisterFile::new(config.regfile);
-        let mut engine = FastEngine::new(&workload, &config, &mut rf);
+        let mut engine = FastEngine::lone(&workload, &config, &mut rf);
         // Warp 0 started and was demoted; warps 1 and 2 are still Pending.
         engine.pending_cursor = 1;
         engine.status[0] = WarpStatus::InactiveUntil(0);

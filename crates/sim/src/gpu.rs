@@ -1,6 +1,6 @@
 //! Whole-GPU simulation: N SMs in lock-step over a shared L2 and DRAM.
 //!
-//! The single-SM engine ([`crate::simulate`]) models the L2 and DRAM without
+//! A lone SM ([`crate::simulate_with`]) models the L2 and DRAM without
 //! cross-SM competition, which makes memory-contention-sensitive figures
 //! optimistic. This module closes that gap:
 //!
@@ -13,16 +13,17 @@
 //!   [`SharedMemory`] — a sliced L2 with per-slice service occupancy and the
 //!   GDDR5 channel model, so SMs queue against each other for L2 tag
 //!   bandwidth, DRAM banks, and channel buses;
-//! * the SMs execute in **lock-step** on one thread (the sweep engine
-//!   parallelizes across campaign points), with idle-period fast-forwarding
-//!   to the earliest next event across all SMs, so a run is deterministic
-//!   for a given seed and configuration;
+//! * the SMs execute on the one lock-step driver (`driver.rs`) on one
+//!   thread (the sweep engine parallelizes across campaign points), with
+//!   idle-period fast-forwarding to the earliest next event across all SMs,
+//!   so a run is deterministic for a given seed and configuration; the run
+//!   ends at the cycle after the last warp retired;
 //! * results aggregate into [`GpuStats`]: per-SM pipeline statistics and
 //!   IPC, shared-L2 hit rate, and DRAM row-buffer/queueing behaviour.
 //!
-//! With `sm_count == 1` the simulation delegates to [`crate::simulate`]
-//! verbatim — same warp-granular residency, same private hierarchy — so a
-//! one-SM GPU reproduces every existing single-SM campaign bit for bit.
+//! With `sm_count == 1` the simulation is [`crate::simulate_with`] verbatim
+//! — same warp-granular residency, same private hierarchy, same driver — so
+//! a one-SM GPU reproduces every single-SM campaign bit for bit.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -30,7 +31,7 @@ use std::rc::Rc;
 use serde::{Deserialize, Serialize};
 
 use crate::config::GpuConfig;
-use crate::driver::{self, SmEngine};
+use crate::driver::{self, KernelEnd, SmEngine};
 use crate::engine::{simulate_with, Engine, EngineKind, SimWorkload};
 use crate::fast::FastEngine;
 use crate::interconnect::InterconnectStats;
@@ -241,25 +242,6 @@ fn dispatch_ctas(
         .collect()
 }
 
-/// Runs `workload` on a whole GPU: `config.sm_count` SMs, each with its own
-/// register-file model from `regfiles`, contending for the shared L2 and
-/// DRAM.
-///
-/// With `sm_count == 1` this is exactly [`crate::simulate`] (same residency rule,
-/// same private hierarchy), so single-SM campaigns reproduce bit for bit.
-///
-/// # Panics
-///
-/// Panics if `regfiles.len() != config.sm_count.max(1)` — the caller builds
-/// one organization instance per SM.
-pub fn simulate_gpu(
-    workload: &SimWorkload,
-    config: &GpuConfig,
-    regfiles: &mut [Box<dyn RegisterFileModel>],
-) -> GpuStats {
-    simulate_gpu_with(workload, config, regfiles, EngineKind::default())
-}
-
 /// Builds one engine per SM (private L1/MSHR port on the shared L2, sharded
 /// address stream, per-warp seeds derived from the *global* warp index) and
 /// drives them in lock-step.
@@ -276,12 +258,6 @@ fn run_multi_sm<'a, E: SmEngine<'a>>(
         .zip(plan)
         .enumerate()
         .map(|(sm_index, (regfile, assignment))| {
-            let seeds: Vec<u64> = (0..assignment.warps as u64)
-                .map(|w| {
-                    let global = assignment.first_warp as u64 + w;
-                    workload.seed ^ (0x9E37 + global * 0x85EB_CA6B)
-                })
-                .collect();
             E::with_parts(
                 &workload.kernel,
                 &config.sm,
@@ -294,19 +270,26 @@ fn run_multi_sm<'a, E: SmEngine<'a>>(
                     assignment.first_warp,
                     total_warps.max(1),
                 ),
-                &seeds,
+                &driver::warp_seeds(workload.seed, assignment.first_warp, assignment.warps),
             )
         })
         .collect();
-    driver::run_lockstep(engines, config.sm.max_cycles)
+    driver::run_lockstep(engines, config.sm.max_cycles, KernelEnd::NextCycle)
 }
 
-/// Runs `workload` on a whole GPU with an explicitly chosen engine
-/// implementation; [`simulate_gpu`] is this with [`EngineKind::default`].
+/// Runs `workload` on a whole GPU: `config.sm_count` SMs, each with its own
+/// register-file model from `regfiles`, contending for the shared L2 and
+/// DRAM, on an explicitly chosen engine implementation
+/// ([`EngineKind::default`] is the fast one).
+///
+/// With `sm_count == 1` this is exactly [`crate::simulate_with`] (same
+/// warp-granular residency, same private hierarchy), so single-SM campaigns
+/// reproduce bit for bit.
 ///
 /// # Panics
 ///
-/// Panics if `regfiles.len() != config.sm_count.max(1)`.
+/// Panics if `regfiles.len() != config.sm_count.max(1)` — the caller builds
+/// one organization instance per SM.
 pub fn simulate_gpu_with(
     workload: &SimWorkload,
     config: &GpuConfig,
@@ -317,7 +300,7 @@ pub fn simulate_gpu_with(
     assert_eq!(
         regfiles.len(),
         sm_count,
-        "simulate_gpu needs one register-file model per SM"
+        "simulate_gpu_with needs one register-file model per SM"
     );
     let kernel = &workload.kernel;
     let launch = kernel.launch();
@@ -385,7 +368,6 @@ pub fn simulate_gpu_with(
 mod tests {
     use super::*;
     use crate::config::SmConfig;
-    use crate::engine::simulate;
     use crate::regfile::DirectRegisterFile;
     use ltrf_isa::{ArchReg, Kernel, KernelBuilder, LaunchConfig, Opcode};
 
@@ -470,9 +452,9 @@ mod tests {
         let workload = SimWorkload::new(kernel);
         let config = gpu_config(1);
         let mut rf = DirectRegisterFile::new(config.sm.regfile);
-        let single = simulate(&workload, &config.sm, &mut rf);
+        let single = simulate_with(&workload, &config.sm, &mut rf, EngineKind::default());
         let mut rfs = regfiles(1, &config.sm);
-        let gpu = simulate_gpu(&workload, &config, &mut rfs);
+        let gpu = simulate_gpu_with(&workload, &config, &mut rfs, EngineKind::default());
         assert_eq!(gpu.per_sm.len(), 1);
         assert_eq!(gpu.per_sm[0], single);
         assert_eq!(gpu.cycles, single.cycles);
@@ -511,8 +493,18 @@ mod tests {
         let kernel = memory_kernel(4, 8);
         let workload = SimWorkload::new(kernel).with_seed(42);
         let config = gpu_config(4);
-        let a = simulate_gpu(&workload, &config, &mut regfiles(4, &config.sm));
-        let b = simulate_gpu(&workload, &config, &mut regfiles(4, &config.sm));
+        let a = simulate_gpu_with(
+            &workload,
+            &config,
+            &mut regfiles(4, &config.sm),
+            EngineKind::default(),
+        );
+        let b = simulate_gpu_with(
+            &workload,
+            &config,
+            &mut regfiles(4, &config.sm),
+            EngineKind::default(),
+        );
         assert_eq!(a, b);
     }
 
@@ -522,11 +514,21 @@ mod tests {
         let workload = SimWorkload::new(kernel).with_seed(7);
         let one = {
             let config = gpu_config(1);
-            simulate_gpu(&workload, &config, &mut regfiles(1, &config.sm))
+            simulate_gpu_with(
+                &workload,
+                &config,
+                &mut regfiles(1, &config.sm),
+                EngineKind::default(),
+            )
         };
         let four = {
             let config = gpu_config(4);
-            simulate_gpu(&workload, &config, &mut regfiles(4, &config.sm))
+            simulate_gpu_with(
+                &workload,
+                &config,
+                &mut regfiles(4, &config.sm),
+                EngineKind::default(),
+            )
         };
         assert!(!four.truncated);
         assert!(four.instructions > one.instructions, "4 SMs run more CTAs");
@@ -549,7 +551,12 @@ mod tests {
         let run = |topology| {
             let config =
                 gpu_config(16).with_interconnect(InterconnectConfig::with_topology(topology));
-            simulate_gpu(&workload, &config, &mut regfiles(16, &config.sm))
+            simulate_gpu_with(
+                &workload,
+                &config,
+                &mut regfiles(16, &config.sm),
+                EngineKind::default(),
+            )
         };
         let ideal = run(Topology::Ideal);
         let xbar = run(Topology::Crossbar);
@@ -583,7 +590,12 @@ mod tests {
         let kernel = memory_kernel(4, 8);
         let workload = SimWorkload::new(kernel).with_seed(3);
         let config = gpu_config(2);
-        let gpu = simulate_gpu(&workload, &config, &mut regfiles(2, &config.sm));
+        let gpu = simulate_gpu_with(
+            &workload,
+            &config,
+            &mut regfiles(2, &config.sm),
+            EngineKind::default(),
+        );
         let agg = gpu.aggregate();
         assert_eq!(agg.instructions, gpu.instructions);
         assert_eq!(agg.cycles, gpu.cycles);

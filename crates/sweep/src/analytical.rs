@@ -12,6 +12,7 @@ use crate::api::params::QUICK;
 use crate::api::{ArtifactKind, Campaign, CampaignParams, ParamSpec, RenderContext};
 use crate::executor::SweepResults;
 use crate::experiments;
+use crate::println;
 use crate::spec::SweepSpec;
 
 /// The parameters of the compiler-only artifacts, which cover the suite.

@@ -78,6 +78,7 @@ use crate::executor::{PointRecord, SweepResults};
 use crate::spec::{SeedMode, SweepSpec};
 use crate::stream::RunningAggregates;
 use crate::CAMPAIGN_SEED;
+use crate::{print, println};
 
 // ---------------------------------------------------------------------------
 // Campaign parameters — the typed value every front-end fills in
@@ -1651,15 +1652,22 @@ impl CampaignRegistry {
 
     /// The registry-derived cross-rejection message for a flag given to a
     /// campaign whose schema does not include it — the uniform replacement
-    /// for the CLI's hand-maintained per-subcommand flag-scope tables.
+    /// for the CLI's hand-maintained per-subcommand flag-scope tables. It
+    /// ends with the flag's hint, or, for a campaign that takes no
+    /// parameters at all, says so: a hint pointing at another campaign's
+    /// use of the flag would not help there.
     #[must_use]
     pub fn scope_error(&self, campaign: &Campaign, spec: &ParamSpec) -> String {
+        let advice = if campaign.params.is_empty() {
+            format!("`{}` takes no parameters", campaign.name)
+        } else {
+            spec.hint.to_string()
+        };
         format!(
-            "{} does not apply to `{}` (it applies to {}); {}",
+            "{} does not apply to `{}` (it applies to {}); {advice}",
             spec.flag,
             campaign.name,
             self.campaigns_accepting(spec).join("/"),
-            spec.hint
         )
     }
 }

@@ -45,6 +45,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use ltrf_sweep::api::{self, registry, Campaign, CampaignParams, RenderContext};
+use ltrf_sweep::{print, println};
 use ltrf_sweep::{
     report, AggregateSink, CampaignEvent, CampaignSession, ExecutorOptions, FanoutSink, RecordSink,
     RunningAggregates, StreamingCsvWriter, SweepResults, SweepSpec, CACHE_SCHEMA_VERSION,

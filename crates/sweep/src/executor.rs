@@ -1111,14 +1111,14 @@ fn simulate_point(
     seed: u64,
     references: &ReferenceMemo,
 ) -> Result<(PointData, Option<Arc<RunResult>>), Box<PointOutcome>> {
-    let simulate = |config: &ExperimentConfig| {
+    let run_config = |config: &ExperimentConfig| {
         run_experiment(kernel, memory, seed, config)
             .map_err(|e| Box::new(PointOutcome::Error(e.to_string())))
     };
     let config = &point.config;
     if !normalized {
         let data = PointData {
-            result: simulate(config)?,
+            result: run_config(config)?,
             normalized_ipc: None,
             normalized_power: None,
         };
@@ -1127,11 +1127,11 @@ fn simulate_point(
     let reference = reference_config(config);
     let identity = reference_identity(point, &memory, seed, &reference);
     let (result, reference_run) = if *config == reference {
-        let run = references.get_or_run(&identity, || simulate(&reference))?;
+        let run = references.get_or_run(&identity, || run_config(&reference))?;
         (RunResult::clone(&run), run)
     } else {
-        let result = simulate(config)?;
-        let run = references.get_or_run(&identity, || simulate(&reference))?;
+        let result = run_config(config)?;
+        let run = references.get_or_run(&identity, || run_config(&reference))?;
         (result, run)
     };
     let normalized = normalize(result, &reference_run);

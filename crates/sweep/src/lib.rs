@@ -84,6 +84,7 @@ pub mod executor;
 pub mod experiments;
 pub mod hash;
 pub mod journal;
+pub mod out;
 pub mod packed;
 pub mod pool;
 mod reference;

@@ -336,3 +336,33 @@ fn batch_wrapper_and_observed_session_agree() {
     let observed = CampaignSession::new(&spec[0], &options).run(&EventLog::new());
     assert_eq!(batch, observed, "the batch wrapper is output-identical");
 }
+
+/// A campaign with no parameters is told so: the rejection of a flag it
+/// does not take names no other campaign's use of that flag. `sweep table1
+/// --quick` used to end with "size a gen-campaign with --population N
+/// instead".
+#[test]
+fn a_campaign_without_parameters_says_it_takes_none() {
+    let registry = registry();
+    let quick = registry.param("--quick").unwrap();
+    let table1 = registry.find("table1").unwrap();
+    assert!(table1.params.is_empty());
+    let message = registry.scope_error(table1, quick);
+    assert!(
+        message.contains("`table1` takes no parameters"),
+        "{message}"
+    );
+    assert!(!message.contains("--population"), "{message}");
+    for campaign in registry.campaigns().iter().filter(|c| c.params.is_empty()) {
+        for spec in registry.campaigns().iter().flat_map(|c| c.params.iter()) {
+            let message = registry.scope_error(campaign, spec);
+            assert!(
+                message.ends_with(&format!("`{}` takes no parameters", campaign.name)),
+                "{message}"
+            );
+        }
+    }
+    // A campaign with parameters keeps the flag's own hint.
+    let gen = registry.find("gen-campaign").unwrap();
+    assert!(registry.scope_error(gen, quick).contains("--population"));
+}
