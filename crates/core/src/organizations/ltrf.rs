@@ -84,6 +84,9 @@ pub struct LtrfRegisterFile {
     params: LtrfParams,
     timing: RegFileTiming,
     mrf: BankArbiter,
+    /// `mrf_banks - 1` when the MRF bank count is a power of two, so a
+    /// register maps to its bank with a mask instead of a division.
+    mrf_bank_mask: Option<usize>,
     cache: BankArbiter,
     warps: Vec<LtrfWarpState>,
     counts: AccessCounts,
@@ -104,6 +107,10 @@ impl LtrfRegisterFile {
         };
         LtrfRegisterFile {
             mrf: BankArbiter::new(timing.mrf_banks, timing.mrf_latency()),
+            mrf_bank_mask: timing
+                .mrf_banks
+                .is_power_of_two()
+                .then(|| timing.mrf_banks - 1),
             cache: BankArbiter::new(params.registers_per_interval.max(1), timing.rfc_latency),
             compiled,
             params,
@@ -137,6 +144,8 @@ impl LtrfRegisterFile {
         &self.compiled
     }
 
+    /// Grows the per-warp state to cover `warp`. Only activation calls it:
+    /// the engines activate a warp before any other call on it.
     fn ensure_warp(&mut self, warp: WarpId) {
         while self.warps.len() <= warp.index() {
             self.warps.push(LtrfWarpState::new(
@@ -146,7 +155,11 @@ impl LtrfRegisterFile {
     }
 
     fn mrf_bank(&self, warp: WarpId, reg: ArchReg) -> usize {
-        (reg.index() + warp.index()) % self.timing.mrf_banks.max(1)
+        let slot = reg.index() + warp.index();
+        match self.mrf_bank_mask {
+            Some(mask) => slot & mask,
+            None => slot % self.timing.mrf_banks.max(1),
+        }
     }
 
     /// Reads `fetch` from the MRF into the cache. Returns the cycle at which
@@ -230,7 +243,6 @@ impl RegisterFileModel for LtrfRegisterFile {
     }
 
     fn warp_deactivated(&mut self, warp: WarpId, now: Cycle) {
-        self.ensure_warp(warp);
         let cached = self.warps[warp.index()].wcb.cached_registers();
         let dirty = self.warps[warp.index()].dirty.intersection(&cached);
         let to_write = self.movable(warp, &dirty);
@@ -242,7 +254,6 @@ impl RegisterFileModel for LtrfRegisterFile {
     }
 
     fn block_entered(&mut self, warp: WarpId, block: BlockId, now: Cycle) -> Cycle {
-        self.ensure_warp(warp);
         let interval = self.compiled.partition.interval_of(block);
         if self.warps[warp.index()].current_interval == Some(interval) {
             return now;
@@ -268,7 +279,6 @@ impl RegisterFileModel for LtrfRegisterFile {
     }
 
     fn read_operands(&mut self, warp: WarpId, regs: &RegSet, now: Cycle) -> Cycle {
-        self.ensure_warp(warp);
         if regs.is_empty() {
             return now;
         }
@@ -297,7 +307,6 @@ impl RegisterFileModel for LtrfRegisterFile {
     }
 
     fn write_register(&mut self, warp: WarpId, reg: ArchReg, now: Cycle) -> Cycle {
-        self.ensure_warp(warp);
         self.counts.rfc_writes += 1;
         if !self.warps[warp.index()].wcb.is_cached(reg) {
             // Writes allocate: the register belongs to the current working
@@ -316,7 +325,6 @@ impl RegisterFileModel for LtrfRegisterFile {
         if !self.params.liveness_aware {
             return;
         }
-        self.ensure_warp(warp);
         self.warps[warp.index()].wcb.mark_dead(dying);
     }
 
@@ -363,6 +371,29 @@ mod tests {
         assert_eq!(rf.access_counts().mrf_reads, 8);
         assert_eq!(rf.access_counts().rfc_writes, 8);
         assert!(rf.prefetch_stall_cycles() > 0);
+    }
+
+    /// The mask taken for a power-of-two bank count maps every register
+    /// where the `%` of any other count does.
+    #[test]
+    fn mrf_bank_is_register_plus_warp_modulo_banks() {
+        for banks in [16, 128, 12] {
+            let timing = RegFileTiming {
+                mrf_banks: banks,
+                ..RegFileTiming::default()
+            };
+            let rf = LtrfRegisterFile::new(compiled_straight(8, 40), timing, LtrfParams::default());
+            assert_eq!(rf.mrf_bank_mask.is_some(), banks != 12);
+            for warp in 0..80u32 {
+                for reg in 0..=u8::MAX {
+                    assert_eq!(
+                        rf.mrf_bank(WarpId(warp), ArchReg::new(reg)),
+                        (usize::from(reg) + warp as usize) % banks,
+                        "{banks} banks, warp {warp}, r{reg}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,15 +16,19 @@
 //! * the three checked-in `examples/traces/` workloads, and
 //! * 16-SM crossbar and mesh runs whose MSHRs saturate, including one the
 //!   cycle cap stops, where the lock-step driver lets an SM that is waiting
-//!   on its MSHRs sleep to its exact wake cycle.
+//!   on its MSHRs sleep to its exact wake cycle, and
+//! * scheduler corners: one or two operand collectors, issue width 1 or 4,
+//!   and an active pool of 1 or 32 warps, at 1 and 4 SMs.
 
 use ltrf_core::{
-    build_organization_fleet, run_experiment_with_engine, EngineKind, ExperimentConfig, LtrfParams,
-    Organization, RunResult, Topology,
+    build_organization, build_organization_fleet, run_experiment_with_engine, EngineKind,
+    ExperimentConfig, LtrfParams, Organization, RunResult, Topology,
 };
-use ltrf_sim::{simulate_gpu_with, GpuStats, InterconnectConfig, SimWorkload};
+use ltrf_sim::{
+    simulate_gpu_with, simulate_with, GpuStats, InterconnectConfig, SimStats, SimWorkload, SmConfig,
+};
 use ltrf_trace::TraceWorkloadId;
-use ltrf_workloads::{GeneratorConfig, Workload, WorkloadGenerator};
+use ltrf_workloads::{GeneratorConfig, Workload, WorkloadGenerator, WorkloadSpec};
 
 /// Population size: cycles every organization several times over diverse
 /// register pressures, loop nests, and memory profiles.
@@ -279,4 +283,148 @@ fn gpu_engines_agree_when_the_cycle_cap_stops_the_run() {
     );
     assert!(fast.instructions < full.instructions);
     assert_gpu_stats_agree(&fast, &reference, "capped crossbar run");
+}
+
+/// Scheduler corners of [`SmConfig`] as (operand collectors, issue width,
+/// active warps): one or two collectors (the pool runs out), issue width 1
+/// or 4 (the walk is wide), and an active pool of 1 or 32 warps.
+type Corner = (usize, usize, usize);
+
+const CORNERS: [Corner; 8] = [
+    (1, 1, 1),
+    (1, 1, 32),
+    (1, 4, 1),
+    (1, 4, 32),
+    (2, 1, 1),
+    (2, 1, 32),
+    (2, 4, 1),
+    (2, 4, 32),
+];
+
+fn apply_corner(sm: &mut SmConfig, (collectors, issue_width, active_warps): Corner) {
+    sm.operand_collectors = collectors;
+    sm.issue_width = issue_width;
+    sm.active_warps = active_warps;
+}
+
+/// Runs `workload` under `org` at `corner` on one SM
+/// (`build_organization` + `simulate_with`), on one engine.
+fn corner_run_one_sm(
+    workload: &Workload,
+    org: Organization,
+    corner: Corner,
+    seed: u64,
+    kind: EngineKind,
+) -> SimStats {
+    let config = ExperimentConfig::for_table2(org, 6).with_active_warps(corner.2);
+    let mut sm = config.sm_config();
+    apply_corner(&mut sm, corner);
+    let mut built = build_organization(
+        org,
+        &workload.kernel,
+        sm.regfile,
+        ltrf_params(&config, org),
+        config.rfc_entries_per_warp,
+    )
+    .expect("the corner workloads compile");
+    let run = SimWorkload::new(built.kernel.clone())
+        .with_memory(workload.memory())
+        .with_seed(seed);
+    simulate_with(&run, &sm, built.model.as_mut(), kind)
+}
+
+/// Runs `workload` under `org` at `corner` on a 4-SM GPU
+/// (`build_organization_fleet` + `simulate_gpu_with`), on one engine.
+fn corner_run_gpu(
+    workload: &Workload,
+    org: Organization,
+    corner: Corner,
+    seed: u64,
+    kind: EngineKind,
+) -> GpuStats {
+    let sm_count = 4;
+    let config = ExperimentConfig::for_table2(org, 6)
+        .with_active_warps(corner.2)
+        .with_sm_count(sm_count);
+    let mut gpu = config.gpu_config();
+    apply_corner(&mut gpu.sm, corner);
+    let (kernel, mut models) = build_organization_fleet(
+        org,
+        &workload.kernel_for_sm_count(sm_count),
+        gpu.sm.regfile,
+        ltrf_params(&config, org),
+        config.rfc_entries_per_warp,
+        sm_count,
+    )
+    .expect("the corner workloads compile");
+    let mut memory = workload.memory();
+    memory.footprint_bytes *= sm_count as u64;
+    let sim = SimWorkload::new(kernel).with_memory(memory).with_seed(seed);
+    simulate_gpu_with(&sim, &gpu, &mut models, kind)
+}
+
+fn ltrf_params(config: &ExperimentConfig, org: Organization) -> LtrfParams {
+    LtrfParams {
+        registers_per_interval: config.registers_per_interval,
+        active_warps: config.active_warps,
+        liveness_aware: org == Organization::LtrfPlus,
+    }
+}
+
+/// Every organization at every scheduler corner, on both engines, at 1 and
+/// 4 SMs. The other tests run only the default 16 collectors at issue
+/// width 2; at these corners the fast engine's collector pool runs out and
+/// its issue walk is wide. The generated members rotate with the corner
+/// and the organization; the suite kernel runs at every corner under every
+/// organization.
+#[test]
+fn engines_agree_at_scheduler_corners() {
+    let bounds = GeneratorConfig {
+        min_regs: 12,
+        max_regs: 64,
+        max_outer_trips: 2,
+        max_inner_trips: 4,
+        max_body_alu: 6,
+        max_body_loads: 3,
+    };
+    // Four CTAs of eight warps: 32 warps per SM at both scales (the 4-SM
+    // grid is weak-scaled), so the 32-warp pool holds every warp.
+    let four_ctas = |workload: Workload| {
+        Workload::from_spec(WorkloadSpec {
+            blocks_per_grid: 4,
+            ..workload.spec
+        })
+    };
+    let members: Vec<Workload> = WorkloadGenerator::population_with_config(0xC0C0, 3, bounds)
+        .into_iter()
+        .map(four_ctas)
+        .collect();
+    // The suite kernel keeps btree's loop body and shortens its loops.
+    let btree = ltrf_workloads::by_name("btree").expect("btree is in the suite");
+    let suite = four_ctas(Workload {
+        spec: WorkloadSpec {
+            outer_trips: 2,
+            inner_trips: 3,
+            ..btree.spec
+        },
+        ..btree
+    });
+    let organizations = Organization::all();
+    for (c, &corner) in CORNERS.iter().enumerate() {
+        for (o, &org) in organizations.iter().enumerate() {
+            let member = &members[(c + o) % members.len()];
+            for (workload, seed) in [(member, 4_000 + c as u64), (&suite, 5_000 + o as u64)] {
+                let label = format!("{} ({org}, {corner:?})", workload.name());
+                let fast = corner_run_one_sm(workload, org, corner, seed, EngineKind::Fast);
+                let reference =
+                    corner_run_one_sm(workload, org, corner, seed, EngineKind::Reference);
+                assert!(!fast.truncated, "{label}: the run must complete");
+                assert_eq!(fast, reference, "{label}, 1 SM: the engines diverged");
+                let fast = corner_run_gpu(workload, org, corner, seed, EngineKind::Fast);
+                let reference = corner_run_gpu(workload, org, corner, seed, EngineKind::Reference);
+                assert!(!fast.truncated, "{label}: the 4-SM run must complete");
+                assert_gpu_stats_agree(&fast, &reference, &format!("{label}, 4 SMs"));
+            }
+        }
+    }
 }

@@ -25,13 +25,24 @@
 //!   instead of scanning all warps, and never-started warps are a cursor
 //!   into the warp array (warps start `Pending` in index order and never
 //!   return to it). Both reproduce the reference activation order exactly.
-//! * **Reused scratch buffers.** The per-cycle active-pool snapshot is a
-//!   pre-sized buffer refilled in place; no per-cycle `Vec` allocation.
+//! * **Walk without a snapshot.** The reference engine clones the active
+//!   pool every cycle so that mid-cycle retires and demotions cannot shift
+//!   its round-robin walk. Here nothing reads the pool during the walk, so
+//!   the walk reads the pool itself and the warps that left it are removed
+//!   once the walk ends. A warp that is not ready is skipped without a
+//!   `try_issue` call, which would return `false` and change nothing.
+//! * **Collector pool.** The operand collectors are a free count plus a
+//!   min-heap of the release cycles of the busy ones, not a slot array
+//!   scanned on every attempt. Which slot an instruction takes is never
+//!   observed, only whether one is free and when the next one frees.
 //!
 //! What skip-ahead may skip, and what it may not, is decided by
 //! `next_event_after`; how long the multi-SM driver may leave an idle SM
 //! asleep is decided by `wake_after`. See the DESIGN.md section on the
 //! event-driven core.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use ltrf_isa::trace::BranchRng;
 use ltrf_isa::{
@@ -148,6 +159,58 @@ impl DecodedKernel {
     }
 }
 
+/// The operand collectors as a multiset of release cycles: how many are
+/// known free, and a min-heap of the release cycles of the others.
+///
+/// Exact because the clock only moves forward: a collector released at or
+/// before `now` stays free at every later call, so it can join the free
+/// count for good, and that move is only made when the count is needed.
+#[derive(Debug)]
+struct CollectorPool {
+    free: usize,
+    busy: BinaryHeap<Reverse<Cycle>>,
+}
+
+impl CollectorPool {
+    fn new(collectors: usize) -> Self {
+        CollectorPool {
+            free: collectors,
+            busy: BinaryHeap::with_capacity(collectors),
+        }
+    }
+
+    /// Frees every collector released at or before `now`.
+    fn release(&mut self, now: Cycle) {
+        while let Some(&Reverse(until)) = self.busy.peek() {
+            if until > now {
+                break;
+            }
+            self.busy.pop();
+            self.free += 1;
+        }
+    }
+
+    /// Whether a collector is free at `now`.
+    fn has_free(&mut self, now: Cycle) -> bool {
+        if self.free == 0 {
+            self.release(now);
+        }
+        self.free > 0
+    }
+
+    /// Takes a free collector until `until`.
+    fn occupy(&mut self, until: Cycle) {
+        self.free -= 1;
+        self.busy.push(Reverse(until));
+    }
+
+    /// The earliest release after `now`, if a collector is busy then.
+    fn next_release(&mut self, now: Cycle) -> Option<Cycle> {
+        self.release(now);
+        self.busy.peek().map(|&Reverse(until)| until)
+    }
+}
+
 /// The allocation-free, skip-ahead SM pipeline.
 ///
 /// Crate-private like the reference [`crate::engine::Engine`]; it is driven
@@ -177,18 +240,16 @@ pub(crate) struct FastEngine<'a> {
     loop_left: Vec<u32>,
     // --- scheduler state ---
     active: Vec<WarpId>,
-    /// Reused per-cycle snapshot of the active pool (the reference engine
-    /// clones the pool each cycle to keep mid-cycle demotions from
-    /// perturbing the round-robin walk; this buffer reproduces that
-    /// semantics without allocating).
-    snapshot: Vec<WarpId>,
+    /// Whether a warp retired or was demoted during the current issue
+    /// walk; such warps leave `active` once the walk ends.
+    left_pool: bool,
     /// Warps with indices at or beyond this cursor have never been
     /// activated (status `Pending`); activation consumes them in index
     /// order, exactly like the reference engine's linear scan.
     pending_cursor: usize,
     /// Demoted warps waiting on their pending operation.
     wakeups: WakeupQueue,
-    collectors: Vec<Cycle>,
+    collectors: CollectorPool,
     stats: SimStats,
     finished: usize,
 }
@@ -261,13 +322,9 @@ impl FastEngine<'_> {
         }
 
         // Operand collector allocation.
-        let Some(collector) = self
-            .collectors
-            .iter()
-            .position(|&busy_until| busy_until <= cycle)
-        else {
+        if !self.collectors.has_free(cycle) {
             return false;
-        };
+        }
 
         // For global memory operations, respect the MSHR limit.
         if inst.is_global_mem && !self.memory.can_accept(cycle) {
@@ -278,7 +335,7 @@ impl FastEngine<'_> {
         let operands_ready = self
             .regfile
             .read_operands(warp_id, &self.code.reads[at], cycle);
-        self.collectors[collector] = operands_ready;
+        self.collectors.occupy(operands_ready);
         if inst.has_dying {
             self.regfile.operands_dead(warp_id, &self.code.dying[at]);
         }
@@ -371,16 +428,20 @@ impl FastEngine<'_> {
         }
     }
 
+    /// Retires a warp of the active pool; it leaves the pool when the issue
+    /// walk ends.
     fn retire_warp(&mut self, warp_id: WarpId, cycle: Cycle) {
         self.status[warp_id.index()] = WarpStatus::Finished;
-        self.active.retain(|&w| w != warp_id);
+        self.left_pool = true;
         self.regfile.warp_deactivated(warp_id, cycle);
         self.finished += 1;
     }
 
+    /// Demotes a warp of the active pool; it leaves the pool when the issue
+    /// walk ends.
     fn demote_warp(&mut self, warp_id: WarpId, resume_at: Cycle, cycle: Cycle) {
         self.status[warp_id.index()] = WarpStatus::InactiveUntil(resume_at);
-        self.active.retain(|&w| w != warp_id);
+        self.left_pool = true;
         self.regfile.warp_deactivated(warp_id, cycle);
         self.wakeups.push(resume_at, warp_id);
     }
@@ -430,10 +491,10 @@ impl<'a> SmEngine<'a> for FastEngine<'a> {
             loop_left: vec![u32::MAX; n * code.nblocks],
             code,
             active: Vec::with_capacity(active_capacity),
-            snapshot: Vec::with_capacity(active_capacity),
+            left_pool: false,
             pending_cursor: 0,
             wakeups: WakeupQueue::with_capacity(n),
-            collectors: vec![0; config.operand_collectors.max(1)],
+            collectors: CollectorPool::new(config.operand_collectors.max(1)),
             stats,
             finished: 0,
         }
@@ -452,21 +513,35 @@ impl<'a> SmEngine<'a> for FastEngine<'a> {
         if len == 0 {
             return 0;
         }
-        // Rotate the starting warp each cycle for round-robin fairness; the
-        // snapshot keeps mid-cycle retires/demotions from shifting the walk.
-        self.snapshot.clear();
-        self.snapshot.extend_from_slice(&self.active);
+        // Rotate the starting warp each cycle for round-robin fairness. Warps
+        // that retire or are demoted stay in the pool until the walk ends,
+        // so they cannot shift it.
         let mut next = (cycle as usize) % len;
         let mut issued = 0;
         for _ in 0..len {
             if issued >= self.config.issue_width {
                 break;
             }
-            let warp_id = self.snapshot[next];
+            let warp_id = self.active[next];
             next = if next + 1 == len { 0 } else { next + 1 };
-            if self.try_issue(warp_id, cycle) {
+            let ready = match self.status[warp_id.index()] {
+                WarpStatus::Ready => true,
+                WarpStatus::StalledUntil(t) => t <= cycle,
+                _ => false,
+            };
+            if ready && self.try_issue(warp_id, cycle) {
                 issued += 1;
             }
+        }
+        if self.left_pool {
+            self.left_pool = false;
+            let status = &self.status;
+            self.active.retain(|w| {
+                matches!(
+                    status[w.index()],
+                    WarpStatus::Ready | WarpStatus::StalledUntil(_)
+                )
+            });
         }
         issued
     }
@@ -507,10 +582,8 @@ impl<'a> SmEngine<'a> for FastEngine<'a> {
         if let Some(t) = self.wakeups.next_wake_after(cycle) {
             next = next.min(t);
         }
-        for &busy in &self.collectors {
-            if busy > cycle {
-                next = next.min(busy);
-            }
+        if let Some(t) = self.collectors.next_release(cycle) {
+            next = next.min(t);
         }
         if next == Cycle::MAX {
             cycle + 1
@@ -541,15 +614,10 @@ impl<'a> SmEngine<'a> for FastEngine<'a> {
         if let Some(t) = self.wakeups.next_wake_after(cycle) {
             next = next.min(t);
         }
-        let mut collector_free = false;
-        for &busy in &self.collectors {
-            if busy > cycle {
-                next = next.min(busy);
-            } else {
-                collector_free = true;
-            }
+        if let Some(t) = self.collectors.next_release(cycle) {
+            next = next.min(t);
         }
-        if ready && collector_free {
+        if ready && self.collectors.free > 0 {
             if let Some(t) = self.memory.mshr_release() {
                 next = next.min(t);
             }

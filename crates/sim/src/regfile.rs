@@ -16,6 +16,10 @@ use crate::config::RegFileTiming;
 use crate::types::{BankArbiter, Cycle, WarpId};
 
 /// A register-file organization, as seen by the SM pipeline.
+///
+/// Both engines activate a warp ([`Self::warp_activated`]) before any other
+/// call on it, so an organization may create a warp's state there and
+/// assume it exists in every other per-warp method.
 pub trait RegisterFileModel {
     /// Human-readable name of the organization (used in reports).
     fn name(&self) -> &str;

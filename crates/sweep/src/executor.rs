@@ -24,7 +24,9 @@
 //! byte-identical to an uninterrupted run's — instead of re-evaluating
 //! them.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -977,28 +979,47 @@ fn make_record(
     }
 }
 
-/// The units workers claim (see [`parallel_map_units`]): runs of
-/// consecutive points that divide by the same normalization reference, so
-/// one worker simulates the reference and the rest of its unit reuses it
-/// without waiting on another worker. Units are capped at a quarter of each
-/// worker's share so the workers still balance. Without normalization, or
-/// with per-point seeds (every point its own reference), every point is a
-/// unit of its own.
-fn reference_units(spec: &SweepSpec, threads: usize) -> Vec<usize> {
+/// The units workers claim (see [`parallel_map_units`]), in claim order:
+/// runs of consecutive points that divide by the same normalization
+/// reference, so one worker simulates the reference and the rest of its
+/// unit reuses it without waiting on another worker. Units are capped at a
+/// quarter of each worker's share so the workers still balance. Without
+/// normalization, or with per-point seeds (every point its own reference),
+/// every point is a unit of its own.
+///
+/// When the spec mixes SM counts, units are claimed biggest first by their
+/// total SM count, the weak-scaled work they simulate, so that no worker
+/// starts a 16-SM point while the others run out of work (longest
+/// processing time first); ties keep spec order. A spec whose points all
+/// have one SM count, such as every 1-SM campaign, keeps spec order.
+fn reference_units(spec: &SweepSpec, threads: usize) -> Vec<Range<usize>> {
     let points = &spec.points;
     let shared = spec.normalize && matches!(spec.seed_mode, SeedMode::Fixed(_));
     let cap = (points.len() / (threads.max(1) * 4)).max(1);
-    let mut starts = Vec::new();
+    let mut units: Vec<Range<usize>> = Vec::new();
     for (i, point) in points.iter().enumerate() {
-        let joins = shared
-            && i > 0
-            && i - starts.last().copied().unwrap_or(0) < cap
-            && same_reference(&points[i - 1], point);
-        if !joins {
-            starts.push(i);
+        match units.last_mut() {
+            Some(unit) if shared && unit.len() < cap && same_reference(&points[i - 1], point) => {
+                unit.end = i + 1;
+            }
+            _ => units.push(i..i + 1),
         }
     }
-    starts
+    if points
+        .iter()
+        .any(|p| p.config.sm_count != points[0].config.sm_count)
+    {
+        // A stable sort that computes each unit's cost once.
+        units.sort_by_cached_key(|unit| {
+            Reverse(
+                points[unit.clone()]
+                    .iter()
+                    .map(|p| p.config.sm_count)
+                    .sum::<usize>(),
+            )
+        });
+    }
+    units
 }
 
 /// Whether two points of a fixed-seed normalized spec divide by the same
@@ -1356,10 +1377,22 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The unit starts, for specs whose units keep spec order.
+    fn unit_starts(spec: &SweepSpec, threads: usize) -> Vec<usize> {
+        let units = reference_units(spec, threads);
+        let mut next = 0;
+        for unit in &units {
+            assert_eq!(unit.start, next, "units partition the points in order");
+            next = unit.end;
+        }
+        assert_eq!(next, spec.points.len());
+        units.into_iter().map(|unit| unit.start).collect()
+    }
+
     #[test]
     fn units_group_points_that_share_a_reference() {
         let spec = shared_reference_spec();
-        assert_eq!(reference_units(&spec, 1), vec![0, 1]);
+        assert_eq!(unit_starts(&spec, 1), vec![0, 1]);
         let long = SweepSpec::builder("long")
             .workloads(["btree", "histo"])
             .organizations([
@@ -1372,18 +1405,61 @@ mod tests {
             .normalize(true)
             .build();
         // 12 points, 6 per workload; one worker may take units of 3.
-        assert_eq!(reference_units(&long, 1), vec![0, 3, 6, 9]);
+        assert_eq!(unit_starts(&long, 1), vec![0, 3, 6, 9]);
         // Per-point seeds or no normalization: every point is its own unit.
         let per_point = SweepSpec {
             seed_mode: SeedMode::PerPoint(5),
             ..long.clone()
         };
-        assert_eq!(reference_units(&per_point, 1), (0..12).collect::<Vec<_>>());
+        assert_eq!(unit_starts(&per_point, 1), (0..12).collect::<Vec<_>>());
         let plain = SweepSpec {
             normalize: false,
             ..long
         };
-        assert_eq!(reference_units(&plain, 1), (0..12).collect::<Vec<_>>());
+        assert_eq!(unit_starts(&plain, 1), (0..12).collect::<Vec<_>>());
+    }
+
+    /// Units of a spec whose points all have one SM count keep spec
+    /// order, even when their sizes differ.
+    #[test]
+    fn single_sm_count_units_keep_spec_order() {
+        let builder = || {
+            SweepSpec::builder("one-sm")
+                .workloads(["btree", "histo"])
+                .organizations([
+                    ltrf_core::Organization::Ideal,
+                    ltrf_core::Organization::Rfc,
+                    ltrf_core::Organization::Shrf,
+                    ltrf_core::Organization::Ltrf,
+                    ltrf_core::Organization::LtrfPlus,
+                ])
+                .seed_mode(SeedMode::Fixed(5))
+                .normalize(true)
+        };
+        // 10 points, 5 per workload, units of at most 2: sizes 2, 2, 1, 2, 2, 1.
+        for spec in [builder().build(), builder().sm_counts([4]).build()] {
+            assert_eq!(
+                reference_units(&spec, 1),
+                vec![0..2, 2..4, 4..5, 5..7, 7..9, 9..10]
+            );
+        }
+    }
+
+    /// A spec that mixes SM counts claims its units biggest first by total
+    /// SM count; ties keep spec order.
+    #[test]
+    fn mixed_sm_units_are_claimed_biggest_first() {
+        let spec = SweepSpec::builder("mixed")
+            .workloads(["btree", "histo"])
+            .organizations([ltrf_core::Organization::Ltrf])
+            .sm_counts([1, 4])
+            .seed_mode(SeedMode::Fixed(5))
+            .build();
+        let sm = |unit: &Range<usize>| spec.points[unit.start].config.sm_count;
+        let units = reference_units(&spec, 1);
+        assert_eq!(units.iter().map(sm).collect::<Vec<_>>(), vec![4, 4, 1, 1]);
+        assert!(units.iter().all(|unit| unit.len() == 1));
+        assert!(units[0].start < units[1].start && units[2].start < units[3].start);
     }
 
     /// `PointMeans::over` is the [`PointMeansAcc`] fold applied to an

@@ -8,6 +8,7 @@
 //! and every closure invocation runs under `catch_unwind` so one diverging
 //! point produces an error record instead of tearing down the campaign.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -42,17 +43,17 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let units: Vec<usize> = (0..items.len()).collect();
+    let units: Vec<Range<usize>> = (0..items.len()).map(|i| i..i + 1).collect();
     parallel_map_units(items, &units, threads, f)
 }
 
-/// [`parallel_map`] over units of consecutive items: `unit_starts` holds
-/// the index of each unit's first item in ascending order (the first is
-/// 0), and a worker claims a whole unit and maps its items in order. Each
-/// item is still panic-isolated on its own.
+/// [`parallel_map`] over units of consecutive items, claimed in the order
+/// given: `units` partitions the item indices, a worker claims the next
+/// unit of the list and maps its items in order, and every result still
+/// lands at its item's index. Each item is still panic-isolated on its own.
 pub(crate) fn parallel_map_units<T, R, F>(
     items: &[T],
-    unit_starts: &[usize],
+    units: &[Range<usize>],
     threads: Option<usize>,
     f: F,
 ) -> Vec<Result<R, String>>
@@ -65,22 +66,20 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let units = unit_starts.len();
-    let workers = threads.unwrap_or_else(default_threads).clamp(1, units);
+    let workers = threads
+        .unwrap_or_else(default_threads)
+        .clamp(1, units.len());
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<R, String>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let unit = next.fetch_add(1, Ordering::Relaxed);
-                if unit >= units {
-                    break;
-                }
-                let end = unit_starts.get(unit + 1).copied().unwrap_or(n);
-                for i in unit_starts[unit]..end {
-                    let outcome =
-                        catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))).map_err(panic_message);
-                    *slots[i].lock().expect("result slot lock") = Some(outcome);
+            scope.spawn(|| {
+                while let Some(unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    for i in unit.clone() {
+                        let outcome = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])))
+                            .map_err(panic_message);
+                        *slots[i].lock().expect("result slot lock") = Some(outcome);
+                    }
                 }
             });
         }
@@ -129,7 +128,7 @@ mod tests {
     #[test]
     fn units_keep_order_and_isolate_panics() {
         let items: Vec<u32> = (0..10).collect();
-        let out = parallel_map_units(&items, &[0, 3, 4, 9], Some(3), |i, &x| {
+        let out = parallel_map_units(&items, &[0..3, 3..4, 4..9, 9..10], Some(3), |i, &x| {
             assert!(x != 5, "poison point {x}");
             (i, std::thread::current().id())
         });
@@ -143,6 +142,21 @@ mod tests {
         let thread = |i: usize| out[i].as_ref().unwrap().1;
         assert_eq!(thread(0), thread(2));
         assert_eq!(thread(4), thread(8));
+    }
+
+    /// One worker runs the units in the order given, and every result
+    /// still lands at its item's index.
+    #[test]
+    fn one_worker_claims_units_in_the_given_order() {
+        let items: Vec<u32> = (0..6).collect();
+        let claimed = Mutex::new(Vec::new());
+        let out = parallel_map_units(&items, &[4..6, 0..1, 2..4, 1..2], Some(1), |i, &x| {
+            claimed.lock().unwrap().push(i);
+            x * 10
+        });
+        assert_eq!(claimed.into_inner().unwrap(), vec![4, 5, 0, 2, 3, 1]);
+        let values: Vec<u32> = out.into_iter().map(Result::unwrap).collect();
+        assert_eq!(values, vec![0, 10, 20, 30, 40, 50]);
     }
 
     #[test]

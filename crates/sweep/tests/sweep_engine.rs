@@ -5,8 +5,8 @@ use std::path::PathBuf;
 
 use ltrf_core::Organization;
 use ltrf_sweep::{
-    point_key, run_sweep, ExecutorOptions, PointOutcome, ResultCache, SeedMode, SweepPoint,
-    SweepSpec,
+    point_key, run_sweep, CampaignEvent, CampaignSession, EventLog, ExecutorOptions, PointOutcome,
+    ResultCache, SeedMode, StreamingCsvWriter, SweepPoint, SweepSpec,
 };
 
 /// A small campaign that still crosses two axes.
@@ -295,4 +295,55 @@ fn failures_are_not_cached() {
     assert_eq!(warm.cached_count(), spec.points.len() - 1);
     assert!(!warm.records[0].from_cache);
     let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// A spec that mixes SM counts is claimed biggest first, and the claim
+/// order reaches no output: at one and at two threads the streamed CSV is
+/// byte-identical and the records come back in spec order. With one
+/// thread the first point started is a 4-SM point, though spec order
+/// starts with a 1-SM one.
+#[test]
+fn mixed_sm_claim_order_reaches_no_output() {
+    let spec = SweepSpec::builder("claim-order")
+        .workloads(["hotspot", "btree"])
+        .organizations([Organization::Ltrf])
+        .sm_counts([1, 4])
+        .normalize(false)
+        .seed_mode(SeedMode::Fixed(2018))
+        .build();
+    assert_eq!(spec.points[0].config.sm_count, 1);
+    let dir = temp_dir("claim-order");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut csvs = Vec::new();
+    for threads in [1, 2] {
+        let options = ExecutorOptions {
+            threads: Some(threads),
+            ..ExecutorOptions::default()
+        };
+        let path = dir.join(format!("threads-{threads}.csv"));
+        let csv = StreamingCsvWriter::create(&path).unwrap();
+        let log = EventLog::new();
+        let (results, _) = CampaignSession::new(&spec, &options).run_with_sink(&log, &csv);
+        csv.finish().unwrap();
+        assert_eq!(results.failure_count(), 0);
+        let points: Vec<&SweepPoint> = results.records.iter().map(|r| &r.point).collect();
+        assert_eq!(points, spec.points.iter().collect::<Vec<_>>());
+        if threads == 1 {
+            let first = log
+                .take()
+                .into_iter()
+                .find_map(|event| match event {
+                    CampaignEvent::PointStarted { index, .. } => Some(index),
+                    _ => None,
+                })
+                .expect("a point started");
+            assert_eq!(spec.points[first].config.sm_count, 4);
+        }
+        csvs.push(std::fs::read(&path).unwrap());
+    }
+    assert_eq!(
+        csvs[0], csvs[1],
+        "the streamed CSV depends on no claim order"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
