@@ -39,7 +39,7 @@ use ltrf_workloads::{evaluated_suite, Workload};
 
 use crate::cache::{point_key, PointKey, ResultCache};
 use crate::journal::{CampaignJournal, JournalSnapshot};
-use crate::pool::{default_threads, panic_message, parallel_map, parallel_map_units};
+use crate::pool::{default_threads, panic_message, parallel_map_units};
 use crate::reference::{reference_identity, ReferenceMemo};
 use crate::spec::{SeedMode, SweepPoint, SweepSpec};
 
@@ -189,23 +189,11 @@ pub struct PointMeans {
     pub noc_latency: f64,
 }
 
-impl PointMeans {
-    /// Averages the given points; `None` when the iterator is empty.
-    pub fn over<'a>(points: impl IntoIterator<Item = &'a PointData>) -> Option<Self> {
-        let mut acc = PointMeansAcc::default();
-        for data in points {
-            acc.push(data);
-        }
-        acc.finish()
-    }
-}
-
 /// The online fold behind [`PointMeans`]: push successful points one at a
 /// time, then [`finish`](PointMeansAcc::finish) into the means. This is what
 /// the streaming aggregation path ([`crate::stream::RunningAggregates`])
 /// folds `PointFinished` records into, so summary statistics never require
-/// the full row set in memory; [`PointMeans::over`] is this fold applied to
-/// an iterator, so the batch and streaming paths cannot drift.
+/// the full row set in memory.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PointMeansAcc {
     count: usize,
@@ -652,12 +640,6 @@ impl<'a> CampaignSession<'a> {
             options,
             references: ReferenceMemo::default(),
         }
-    }
-
-    /// The spec this session runs.
-    #[must_use]
-    pub fn spec(&self) -> &SweepSpec {
-        self.spec
     }
 
     /// How many normalization references this session has simulated.
@@ -1164,18 +1146,6 @@ fn simulate_point(
     Ok((data, Some(reference_run)))
 }
 
-/// Order-preserving parallel map over arbitrary items with panic isolation:
-/// the engine's raw primitive, for work a cross-product spec does not
-/// express (the compiler-only Table 4 and overhead artifacts).
-pub fn parallel_points<T, R, F>(items: &[T], threads: Option<usize>, f: F) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map(items, threads, |_, item| f(item))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1462,11 +1432,9 @@ mod tests {
         assert!(units[0].start < units[1].start && units[2].start < units[3].start);
     }
 
-    /// `PointMeans::over` is the [`PointMeansAcc`] fold applied to an
-    /// iterator; the degenerate cases must agree.
+    /// An accumulator that folded nothing has no means and a zero count.
     #[test]
-    fn point_means_acc_matches_over_on_empty() {
-        assert_eq!(PointMeans::over(std::iter::empty()), None);
+    fn point_means_acc_is_none_when_empty() {
         assert_eq!(PointMeansAcc::default().finish(), None);
         assert_eq!(PointMeansAcc::default().count(), 0);
     }

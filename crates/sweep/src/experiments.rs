@@ -30,7 +30,7 @@ fn per_workload<R: Send>(
     workloads: &[Workload],
     f: impl Fn(&Workload, CompiledKernel) -> R + Sync,
 ) -> Result<Vec<R>, String> {
-    crate::parallel_points(workloads, None, |w| {
+    crate::parallel_map(workloads, None, |_, w| {
         compile(&w.kernel, &CompilerOptions::default())
             .map(|compiled| f(w, compiled))
             .map_err(|e| format!("`{}` does not compile: {e}", w.name()))

@@ -101,9 +101,9 @@ pub use api::{registry, ArtifactKind, Campaign, CampaignParams, CampaignRegistry
 pub use cache::{point_key, PointKey, ResultCache, CACHE_SCHEMA_VERSION, ENGINE_FINGERPRINT};
 pub use campaigns::{GenCampaignParams, InterconnectCampaignParams, TraceCampaignParams};
 pub use executor::{
-    parallel_points, relative_ipc_series, run_sweep, CampaignEvent, CampaignObserver,
-    CampaignSession, CampaignTotals, EventLog, ExecutorOptions, FanoutSink, PointData, PointMeans,
-    PointMeansAcc, PointOutcome, PointRecord, RecordSink, SweepResults, Unobserved,
+    relative_ipc_series, run_sweep, CampaignEvent, CampaignObserver, CampaignSession,
+    CampaignTotals, EventLog, ExecutorOptions, FanoutSink, PointData, PointMeans, PointMeansAcc,
+    PointOutcome, PointRecord, RecordSink, SweepResults, Unobserved,
 };
 pub use journal::{CampaignJournal, CompletedPoint, JournalSnapshot};
 pub use ltrf_trace::{LoweringBounds, TraceWorkloadId};

@@ -434,10 +434,11 @@ mod tests {
 
     /// Live end-to-end pin: `run_streaming` with as many worker threads as
     /// points (so completion skew *can* reach the buffer's capacity) still
-    /// writes a CSV byte-identical to the batch renderer.
+    /// writes a CSV byte-identical to the batch renderer over a separate,
+    /// retained run of the same spec.
     #[test]
     fn run_streaming_with_threads_equal_to_points_matches_batch() {
-        use crate::executor::{CampaignSession, ExecutorOptions};
+        use crate::executor::{CampaignSession, ExecutorOptions, Unobserved};
         let spec = SweepSpec::builder("stream-skew-live")
             .workloads(["hotspot", "btree"])
             .seed_mode(SeedMode::Fixed(7))
@@ -450,12 +451,12 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("ltrf-stream-skew-live-{}", std::process::id()));
         let csv = StreamingCsvWriter::create(&path).unwrap();
-        let (results, totals) =
-            CampaignSession::new(&spec, &options).run_with_sink(&crate::executor::Unobserved, &csv);
+        let totals = CampaignSession::new(&spec, &options).run_streaming(&Unobserved, &csv);
         csv.finish().unwrap();
         assert_eq!(totals.computed, points);
+        let batch = CampaignSession::new(&spec, &options).run(&Unobserved);
         let streamed = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(streamed, report::to_csv(&results));
+        assert_eq!(streamed, report::to_csv(&batch));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -7,7 +7,7 @@
 use ltrf_core::{run_normalized, ExperimentConfig};
 use ltrf_sim::MemoryBehavior;
 use ltrf_sweep::{
-    parallel_points, registry, CampaignParams, CampaignSession, ExecutorOptions, PointData,
+    parallel_map, registry, CampaignParams, CampaignSession, ExecutorOptions, PointData,
     PointOutcome, PointRecord, SeedMode, SweepSpec, Unobserved,
 };
 use ltrf_workloads::{evaluated_suite, Workload};
@@ -61,7 +61,7 @@ fn run(spec: &SweepSpec) -> (Vec<PointRecord>, usize) {
 /// Checks every record against `run_normalized` on the same point.
 fn assert_records_match_run_normalized(spec: &SweepSpec, records: &[PointRecord]) {
     let suite = evaluated_suite();
-    let expected = parallel_points(records, Some(2), |record| {
+    let expected = parallel_map(records, Some(2), |_, record| {
         let generated;
         let workload: &Workload = match &record.point.generated {
             Some(identity) => {

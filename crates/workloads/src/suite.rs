@@ -275,9 +275,9 @@ pub fn evaluated_suite() -> Vec<Workload> {
 }
 
 /// The canonical four-workload quick subset (two register-sensitive, two
-/// insensitive) used by unit tests, the Criterion benches, and the `sweep`
-/// CLI's `--quick` mode. One copy, so every driver selects the same points
-/// (which also keeps their sweep-cache entries interchangeable).
+/// insensitive) used by unit tests and the `sweep` CLI's `--quick` mode. One
+/// copy, so every driver selects the same points (which also keeps their
+/// sweep-cache entries interchangeable).
 pub const QUICK_SUBSET: [&str; 4] = ["hotspot", "pathfinder", "btree", "histo"];
 
 /// Builds the quick four-workload subset ([`QUICK_SUBSET`]).
