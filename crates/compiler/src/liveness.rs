@@ -132,19 +132,6 @@ impl Liveness {
             }
         }
     }
-
-    /// Returns the maximum number of simultaneously live registers at any
-    /// block boundary. This is a lower bound on the register pressure the
-    /// register allocator produced.
-    #[must_use]
-    pub fn peak_block_pressure(&self) -> usize {
-        self.live_in
-            .iter()
-            .chain(self.live_out.iter())
-            .map(RegSet::len)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +179,6 @@ mod tests {
         // Nothing is live into the entry block (no upward-exposed uses).
         assert!(l.live_in(BlockId(0)).is_empty());
         assert_eq!(l.block_count(), 4);
-        assert!(l.peak_block_pressure() >= 1);
     }
 
     #[test]

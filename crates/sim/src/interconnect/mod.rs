@@ -188,16 +188,6 @@ impl InterconnectStats {
             self.total_latency as f64 / self.messages as f64
         }
     }
-
-    /// Mean queueing delay per message; zero if nothing was routed.
-    #[must_use]
-    pub fn mean_queue_wait(&self) -> f64 {
-        if self.messages == 0 {
-            0.0
-        } else {
-            self.total_queue_wait as f64 / self.messages as f64
-        }
-    }
 }
 
 /// Transport from an SM to an L2 slice's input port.

@@ -18,9 +18,6 @@
 //!   --cache DIR         result-cache directory      (default: .sweep-cache)
 //!   --no-cache          disable the result cache
 //!   --force             recompute even when cached
-//!   --resume            restore points completed by a previous (killed)
-//!                       run of the same campaign from its checkpoint
-//!                       journal instead of re-evaluating them
 //!   --threads N         worker threads              (default: all cores)
 //!   --progress MODE     human (default) or json — line-delimited
 //!                       campaign events for CI (see REPRODUCING.md)
@@ -29,9 +26,9 @@
 //! Execution streams: every completed point's CSV row is written to
 //! `<out>/<campaign>.csv` as it completes (bounded memory, byte-identical
 //! to the batch renderer) and folded into the running aggregates the
-//! summary tables read, while a checkpoint journal
-//! (`<out>/<campaign>.journal`, deleted on success) records completed
-//! points so `--resume` can pick up where a killed run stopped.
+//! summary tables read. Every successful point is stored in the cache as it
+//! completes, so a killed campaign rerun over the same cache recomputes only
+//! the points it had not finished.
 //!
 //! Campaign parameters (`--quick`, `--sm-count`, the generator bounds, the
 //! power-calibration knobs, …) are declared per campaign in the registry;
@@ -69,7 +66,6 @@ struct RuntimeOptions {
     out_dir: PathBuf,
     cache_dir: Option<PathBuf>,
     force: bool,
-    resume: bool,
     threads: Option<usize>,
     progress: ProgressMode,
 }
@@ -80,7 +76,6 @@ impl Default for RuntimeOptions {
             out_dir: PathBuf::from("sweep-out"),
             cache_dir: Some(PathBuf::from(".sweep-cache")),
             force: false,
-            resume: false,
             threads: None,
             progress: ProgressMode::Human,
         }
@@ -92,7 +87,7 @@ fn usage() -> String {
     let commands: Vec<&str> = registry().campaigns().iter().map(|c| c.name).collect();
     format!(
         "usage: sweep <{}|list|describe|version> [--out DIR] [--cache DIR] \
-         [--no-cache] [--force] [--resume] [--threads N] [--progress human|json] \
+         [--no-cache] [--force] [--threads N] [--progress human|json] \
          [campaign options]\n\
          `sweep list` prints the campaign index; `sweep describe <campaign>` its options",
         commands.join("|")
@@ -127,7 +122,6 @@ fn parse_invocation(
         match arg.as_str() {
             "--no-cache" => runtime.cache_dir = None,
             "--force" => runtime.force = true,
-            "--resume" => runtime.resume = true,
             "--out" => {
                 runtime.out_dir = iter
                     .next()
@@ -300,34 +294,21 @@ fn run_campaign(campaign: &Campaign, args: &[String]) -> Result<(), String> {
 /// CSV report row by row (and the summary aggregates) as points complete,
 /// writes the JSON report, prints the summary (human mode), and hands the
 /// results plus aggregates back for the campaign's summary renderer.
-///
-/// The checkpoint journal lives at `<out>/<name>.journal` while the
-/// campaign runs and is deleted once it completes; a journal left behind by
-/// a killed run is what `--resume` picks up.
 fn execute(
     spec: &SweepSpec,
     runtime: &RuntimeOptions,
 ) -> Result<(SweepResults, RunningAggregates), String> {
-    // The out dir must exist before the run: the streaming CSV and the
-    // checkpoint journal are written while points execute.
+    // The out dir must exist before the run: the streaming CSV is written
+    // while points execute.
     std::fs::create_dir_all(&runtime.out_dir)
         .map_err(|e| format!("cannot create {}: {e}", runtime.out_dir.display()))?;
     let json_path = runtime.out_dir.join(format!("{}.json", spec.name));
     let csv_path = runtime.out_dir.join(format!("{}.csv", spec.name));
-    let journal_path = runtime.out_dir.join(format!("{}.journal", spec.name));
-    if runtime.resume && runtime.cache_dir.is_none() {
-        eprintln!(
-            "sweep: --resume without a cache cannot restore outcomes; \
-             previously completed points will be recomputed"
-        );
-    }
 
     let executor = ExecutorOptions {
         threads: runtime.threads,
         cache_dir: runtime.cache_dir.clone(),
         force_recompute: runtime.force,
-        journal_path: Some(journal_path.clone()),
-        resume: runtime.resume,
     };
     let threads = runtime.threads.unwrap_or_else(ltrf_sweep::default_threads);
     let session = CampaignSession::new(spec, &executor);
@@ -372,18 +353,11 @@ fn execute(
     let aggregates = agg.finish();
     report::write_json(&results, &json_path)
         .map_err(|e| format!("writing {}: {e}", json_path.display()))?;
-    // The campaign completed: its checkpoint has served its purpose.
-    let _ = std::fs::remove_file(&journal_path);
 
     if runtime.progress == ProgressMode::Human {
         let rate = ltrf_sweep::hit_percent_1dp(results.cached_count(), results.len());
-        let restored = if totals.restored > 0 {
-            format!("{} restored, ", totals.restored)
-        } else {
-            String::new()
-        };
         println!(
-            "  {} computed, {restored}{} from cache ({rate:.1}% hit rate), {} failed, \
+            "  {} computed, {} from cache ({rate:.1}% hit rate), {} failed, \
              {:.2?} wall clock",
             totals.computed, totals.cached, totals.failed, elapsed
         );
@@ -497,16 +471,18 @@ mod tests {
         assert!(message.contains("unknown option"), "{message}");
     }
 
+    /// `--resume` is gone (a rerun over the same cache is the recovery), so
+    /// every campaign parses it as an unknown option rather than ignoring it.
     #[test]
     fn resume_flag_parses_for_every_campaign() {
         for campaign in registry().campaigns() {
-            let (runtime, _) = parse_invocation(campaign, &strings(&["--resume"]))
-                .unwrap_or_else(|e| panic!("`sweep {} --resume` broke: {e}", campaign.name));
-            assert!(runtime.resume);
+            let message = parse_invocation(campaign, &strings(&["--resume"])).unwrap_err();
+            assert!(
+                message.contains("unknown option"),
+                "`sweep {} --resume`: {message}",
+                campaign.name
+            );
         }
-        let fig9 = registry().find("fig9").unwrap();
-        let (runtime, _) = parse_invocation(fig9, &strings(&[])).unwrap();
-        assert!(!runtime.resume, "resume must be opt-in");
     }
 
     #[test]

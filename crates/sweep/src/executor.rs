@@ -16,13 +16,11 @@
 //! pushes every completed [`PointRecord`] into a [`RecordSink`] (a CSV
 //! writer, a running aggregator — see [`crate::stream`]) as it completes,
 //! and [`CampaignSession::run_streaming`] drops the records entirely so a
-//! 10k+-point campaign never materializes its full row set. Attaching a
-//! checkpoint journal ([`ExecutorOptions::journal_path`]) makes the session
-//! crash-safe: every completed point is journaled, and a rerun with
-//! [`ExecutorOptions::resume`] *restores* journaled points from the cache —
-//! with their original cache provenance, so resumed reports are
-//! byte-identical to an uninterrupted run's — instead of re-evaluating
-//! them.
+//! 10k+-point campaign never materializes its full row set. The cache is
+//! also the checkpoint: every successful point is stored as it completes,
+//! and the packed store turns any torn write into a miss, so a killed
+//! campaign rerun over the same cache loads what it stored and recomputes
+//! only the rest, with the same numbers.
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -38,7 +36,6 @@ use ltrf_sim::MemoryBehavior;
 use ltrf_workloads::{evaluated_suite, Workload};
 
 use crate::cache::{point_key, PointKey, ResultCache};
-use crate::journal::{CampaignJournal, JournalSnapshot};
 use crate::pool::{default_threads, panic_message, parallel_map_units};
 use crate::reference::{reference_identity, ReferenceMemo};
 use crate::spec::{SeedMode, SweepPoint, SweepSpec};
@@ -311,15 +308,6 @@ pub struct ExecutorOptions {
     pub cache_dir: Option<PathBuf>,
     /// When `true`, ignore cached outcomes (but still store fresh ones).
     pub force_recompute: bool,
-    /// Checkpoint journal path; `None` runs unjournaled. When set, every
-    /// completed point appends one line (digest, seed, provenance) so a
-    /// killed campaign can be resumed.
-    pub journal_path: Option<PathBuf>,
-    /// When `true` (and a journal path is set), load the journal left by a
-    /// previous run and *restore* its completed points from the cache
-    /// instead of re-evaluating them. Requires a cache: restored outcomes
-    /// are read back through it.
-    pub resume: bool,
 }
 
 /// A consumer of completed [`PointRecord`]s, called from the worker threads
@@ -362,7 +350,7 @@ impl RecordSink for FanoutSink<'_> {
 /// How a campaign's points resolved, by provenance — the summary a
 /// streaming run reports without retaining its records. The counts
 /// partition the campaign:
-/// `computed + cached + restored == points`.
+/// `computed + cached == points`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CampaignTotals {
     /// Total points in the campaign.
@@ -371,13 +359,10 @@ pub struct CampaignTotals {
     pub computed: usize,
     /// Points served live from the result cache.
     pub cached: usize,
-    /// Points restored from the checkpoint journal (resume runs).
-    pub restored: usize,
     /// Points that failed (errors plus panics).
     pub failed: usize,
-    /// Fraction of records carrying cache provenance, in `[0, 1]` — the
-    /// same quantity as [`SweepResults::cache_hit_rate`] (restored points
-    /// count with their *original* provenance).
+    /// Fraction of points served from the cache, `cached / points`, in
+    /// `[0, 1]` — the same quantity as [`SweepResults::cache_hit_rate`].
     pub hit_rate: f64,
 }
 
@@ -391,8 +376,8 @@ pub struct CampaignTotals {
 /// a shared queue), so every per-point event carries the point's index into
 /// [`SweepSpec::points`]. Per campaign, the stream always contains exactly
 /// one `CampaignStarted`, then one `PointStarted` and one terminal
-/// `PointFinished`, `PointRestored` *or* `PointFailed` per point, and finally exactly one `CampaignFinished` whose counts match
-/// the returned [`SweepResults`].
+/// `PointFinished` *or* `PointFailed` per point, and finally exactly one
+/// `CampaignFinished` whose counts match the returned [`SweepResults`].
 ///
 /// [`CampaignEvent::to_json_line`] renders an event as the stable
 /// line-delimited JSON schema behind the CLI's `--progress json` mode
@@ -422,13 +407,14 @@ pub enum CampaignEvent {
         /// Whether the outcome was served from the result cache.
         cache_hit: bool,
     },
-    /// A resume run restored a point the checkpoint journal recorded as
-    /// completed, instead of re-evaluating it.
+    /// Never emitted: no session restores points from a checkpoint (the
+    /// cache is the checkpoint). The variant remains only because the
+    /// benchmark harness (`perfbench/`) matches on it; it goes when the
+    /// benchmark is next redefined.
     PointRestored {
         /// Index into [`SweepSpec::points`].
         index: usize,
-        /// The cache provenance the point originally completed with (what
-        /// its record — and CSV row — carries).
+        /// The cache provenance the point would carry.
         from_cache: bool,
     },
     /// Never emitted: no session coalesces points with another. The variant
@@ -461,14 +447,10 @@ pub enum CampaignEvent {
         computed: usize,
         /// Points served live from the cache.
         cached: usize,
-        /// Points restored from the checkpoint journal (zero outside
-        /// resume runs).
-        restored: usize,
         /// Points that failed.
         failed: usize,
         /// Fraction of points served from the cache, in `[0, 1]` (matches
-        /// [`SweepResults::cache_hit_rate`]; restored points count with
-        /// their original provenance).
+        /// [`SweepResults::cache_hit_rate`]).
         hit_rate: f64,
     },
 }
@@ -537,7 +519,6 @@ impl CampaignEvent {
                 campaign,
                 computed,
                 cached,
-                restored,
                 failed,
                 hit_rate,
             } => obj(vec![
@@ -545,7 +526,6 @@ impl CampaignEvent {
                 ("campaign", Value::Str(campaign.clone())),
                 ("computed", Value::UInt(*computed as u64)),
                 ("cached", Value::UInt(*cached as u64)),
-                ("restored", Value::UInt(*restored as u64)),
                 ("failed", Value::UInt(*failed as u64)),
                 ("hit_rate", Value::Float(*hit_rate)),
             ]),
@@ -717,30 +697,6 @@ impl<'a> CampaignSession<'a> {
                 })
                 .ok()
         });
-        // The checkpoint journal (when requested). A resume loads the
-        // previous run's snapshot; an unusable journal degrades to running
-        // unjournaled with a note on stderr, like the cache.
-        let (journal, snapshot) = match &options.journal_path {
-            Some(path) => {
-                let opened = if options.resume {
-                    CampaignJournal::resume(path, &spec.name)
-                } else {
-                    CampaignJournal::create(path, &spec.name)
-                        .map(|j| (j, JournalSnapshot::default()))
-                };
-                match opened {
-                    Ok((journal, snapshot)) => (Some(journal), snapshot),
-                    Err(e) => {
-                        eprintln!(
-                            "sweep: journal at {} unusable ({e}); running unjournaled",
-                            path.display()
-                        );
-                        (None, JournalSnapshot::default())
-                    }
-                }
-            }
-            None => (None, JournalSnapshot::default()),
-        };
         let suite: HashMap<&str, Workload> = evaluated_suite()
             .into_iter()
             .map(|w| (w.name(), w))
@@ -763,79 +719,23 @@ impl<'a> CampaignSession<'a> {
                 organization: point.config.organization.label(),
             });
             let key = point_key(spec, point);
-
-            // Resume path: a point the journal recorded as completed — and
-            // whose outcome is still in the cache — is restored with its
-            // *original* provenance, so a resumed run's records (and CSV)
-            // are byte-identical to an uninterrupted run's.
-            let prior = if options.resume && !options.force_recompute {
-                snapshot.get(&key.digest_hex)
-            } else {
-                None
-            };
-            if let Some(prior) = prior {
-                if let Some(outcome) = cache.as_ref().and_then(|c| c.load::<PointOutcome>(&key)) {
-                    observer.on_event(&CampaignEvent::PointRestored {
-                        index,
-                        from_cache: prior.from_cache,
-                    });
-                    let record = make_record(point, &key, outcome, prior.from_cache);
-                    sink.on_record(index, &record);
-                    let tally = Tally {
-                        cached: false,
-                        restored: true,
-                        restored_hit: prior.from_cache,
-                        failed: record.outcome.is_failure(),
-                    };
-                    return (retain.then(|| Box::new(record)), tally);
-                }
-                // Journaled but no longer in the cache (e.g. killed between
-                // the journal append and the cache store): fall through and
-                // recompute — restores never invent results.
-            }
-
             let cached = if options.force_recompute {
                 None
             } else {
                 cache.as_ref().and_then(|c| c.load::<PointOutcome>(&key))
             };
             let from_cache = cached.is_some();
-            let outcome = match cached {
-                Some(outcome) => {
-                    // A live hit is a completed point too: journal it (with
-                    // its provenance) so a later kill does not lose it.
-                    if let (Some(journal), PointOutcome::Ok(_)) = (&journal, &outcome) {
-                        if snapshot.get(&key.digest_hex).is_none() {
-                            if let Err(e) = journal.record(&key.digest_hex, key.seed, true) {
-                                eprintln!("sweep: failed to journal {}: {e}", key.digest_hex);
-                            }
-                        }
+            let outcome = cached.unwrap_or_else(|| {
+                let outcome = evaluate_point(spec, point, &suite, key.seed, &self.references);
+                // Only successes are cached: failures may be transient (and
+                // must stay visible on every run until fixed).
+                if let (PointOutcome::Ok(_), Some(cache)) = (&outcome, &cache) {
+                    if let Err(e) = cache.store(&key, &outcome) {
+                        eprintln!("sweep: failed to store {}: {e}", key.digest_hex);
                     }
-                    outcome
                 }
-                None => {
-                    let outcome = evaluate_point(spec, point, &suite, key.seed, &self.references);
-                    // Only successes are cached: failures may be transient
-                    // (and must stay visible on every run until fixed).
-                    if let PointOutcome::Ok(_) = &outcome {
-                        // Journal *before* the cache store: a kill between
-                        // the two costs one recompute on resume; the reverse
-                        // order would let the resume serve the point as a
-                        // live cache hit and flip its recorded provenance.
-                        if let Some(journal) = &journal {
-                            if let Err(e) = journal.record(&key.digest_hex, key.seed, false) {
-                                eprintln!("sweep: failed to journal {}: {e}", key.digest_hex);
-                            }
-                        }
-                        if let Some(cache) = &cache {
-                            if let Err(e) = cache.store(&key, &outcome) {
-                                eprintln!("sweep: failed to store {}: {e}", key.digest_hex);
-                            }
-                        }
-                    }
-                    outcome
-                }
-            };
+                outcome
+            });
             observer.on_event(&match &outcome {
                 PointOutcome::Ok(_) => CampaignEvent::PointFinished {
                     index,
@@ -853,8 +753,6 @@ impl<'a> CampaignSession<'a> {
             sink.on_record(index, &record);
             let tally = Tally {
                 cached: from_cache,
-                restored: false,
-                restored_hit: false,
                 failed: record.outcome.is_failure(),
             };
             (retain.then(|| Box::new(record)), tally)
@@ -864,7 +762,6 @@ impl<'a> CampaignSession<'a> {
             points: spec.points.len(),
             ..CampaignTotals::default()
         };
-        let mut hit_records = 0usize;
         let mut records = Vec::with_capacity(if retain { spec.points.len() } else { 0 });
         for (index, (result, point)) in outcomes.into_iter().zip(&spec.points).enumerate() {
             let (record, tally) = result.unwrap_or_else(|panic_msg| {
@@ -884,24 +781,17 @@ impl<'a> CampaignSession<'a> {
                 sink.on_record(index, &record);
                 let tally = Tally {
                     cached: false,
-                    restored: false,
-                    restored_hit: false,
                     failed: true,
                 };
                 (retain.then(|| Box::new(record)), tally)
             });
             if tally.cached {
                 totals.cached += 1;
-            } else if tally.restored {
-                totals.restored += 1;
             } else {
                 totals.computed += 1;
             }
             if tally.failed {
                 totals.failed += 1;
-            }
-            if tally.cached || tally.restored_hit {
-                hit_records += 1;
             }
             if let Some(record) = record {
                 records.push(*record);
@@ -910,14 +800,13 @@ impl<'a> CampaignSession<'a> {
         totals.hit_rate = if totals.points == 0 {
             0.0
         } else {
-            hit_records as f64 / totals.points as f64
+            totals.cached as f64 / totals.points as f64
         };
 
         observer.on_event(&CampaignEvent::CampaignFinished {
             campaign: spec.name.clone(),
             computed: totals.computed,
             cached: totals.cached,
-            restored: totals.restored,
             failed: totals.failed,
             hit_rate: totals.hit_rate,
         });
@@ -929,8 +818,6 @@ impl<'a> CampaignSession<'a> {
 #[derive(Debug, Clone, Copy)]
 struct Tally {
     cached: bool,
-    restored: bool,
-    restored_hit: bool,
     failed: bool,
 }
 
@@ -1169,7 +1056,6 @@ mod tests {
             campaign: "empty".to_string(),
             computed: 0,
             cached: 0,
-            restored: 0,
             failed: 0,
             hit_rate: rate,
         };

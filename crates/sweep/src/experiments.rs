@@ -147,6 +147,41 @@ mod tests {
         }
     }
 
+    /// Why Table 4 shows Real/Opt 100% on the quick suite: at the campaign
+    /// seed with N = 16 each kernel has only a few dynamic intervals, the
+    /// compiler's partition and the greedy oracle cut the stream into
+    /// equally many, and the last interval holds almost the whole stream.
+    /// The oracle's last interval is a maximal run whose register working
+    /// set fits 16, so each main loop's working set fits the budget and
+    /// neither partition ever cuts it.
+    #[test]
+    fn table4_quick_intervals_are_prologue_runs_then_one_main_loop() {
+        use ltrf_compiler::trace_analysis::{optimal_interval_lengths, real_interval_lengths};
+        let expected: [(&str, &[u64], &[u64]); 4] = [
+            ("hotspot", &[16, 16, 16, 12, 1785], &[16, 16, 16, 15, 1782]),
+            ("pathfinder", &[16, 16, 12, 1631], &[16, 16, 15, 1628]),
+            ("btree", &[16, 559], &[16, 559]),
+            ("histo", &[16, 827], &[16, 827]),
+        ];
+        let workloads = suite(true);
+        assert_eq!(workloads.len(), expected.len());
+        for (w, (name, real, optimal)) in workloads.iter().zip(expected) {
+            assert_eq!(w.name(), name);
+            let compiled = compile(&w.kernel, &CompilerOptions::default()).unwrap();
+            let seed = crate::CAMPAIGN_SEED;
+            let measured_real = real_interval_lengths(&compiled.kernel, &compiled.partition, seed);
+            let measured_optimal = optimal_interval_lengths(&compiled.kernel, 16, seed);
+            assert_eq!(measured_real, real, "{name}: real intervals");
+            assert_eq!(measured_optimal, optimal, "{name}: optimal intervals");
+            let stream: u64 = optimal.iter().sum();
+            let main_loop = optimal[optimal.len() - 1];
+            assert!(
+                main_loop * 10 > stream * 9,
+                "{name}: {main_loop} of {stream}"
+            );
+        }
+    }
+
     #[test]
     fn overheads_are_in_the_paper_ballpark() {
         let report = overheads(true).unwrap();

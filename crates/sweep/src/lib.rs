@@ -22,12 +22,12 @@
 //!   batch wrapper for callers that only want the final results, while
 //!   [`CampaignSession::run_streaming`] pushes completed records into
 //!   [`RecordSink`]s (streaming CSV, running aggregates — see [`stream`])
-//!   without retaining them, and a checkpoint [`journal`] plus
-//!   `--resume` makes killed campaigns restartable from where they
-//!   stopped;
+//!   without retaining them;
 //! * [`ResultCache`] content-addresses outcomes (SHA-256 of the canonical
 //!   point encoding, which includes `sm_count`) so re-running a figure only
-//!   recomputes changed points;
+//!   recomputes changed points — and, since every point is stored as it
+//!   completes, a killed campaign rerun over the same cache recomputes only
+//!   what it had not finished;
 //! * [`report`] renders campaigns as JSON and CSV (including the absolute
 //!   power/energy columns behind the power artifacts), and the `sweep`
 //!   binary reproduces *every* simulation-backed paper artifact end-to-end:
@@ -83,7 +83,6 @@ pub mod campaigns;
 pub mod executor;
 pub mod experiments;
 pub mod hash;
-pub mod journal;
 pub mod out;
 pub mod packed;
 pub mod pool;
@@ -105,7 +104,6 @@ pub use executor::{
     CampaignTotals, EventLog, ExecutorOptions, FanoutSink, PointData, PointMeans, PointMeansAcc,
     PointOutcome, PointRecord, RecordSink, SweepResults, Unobserved,
 };
-pub use journal::{CampaignJournal, CompletedPoint, JournalSnapshot};
 pub use ltrf_trace::{LoweringBounds, TraceWorkloadId};
 pub use packed::PackedStore;
 pub use pool::{default_threads, parallel_map};

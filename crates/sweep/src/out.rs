@@ -6,8 +6,9 @@
 //! [`println!`](crate::println!), which the printing modules import in place
 //! of the standard ones. A reader that has gone away (`sweep table2 --quick |
 //! head -2`) ends the process quietly with success: nobody is left to print
-//! for, and the reports and cache entries already written stay valid (an
-//! interrupted campaign resumes like a killed one). Any other write error
+//! for, and the reports and cache entries already written stay valid (a
+//! rerun over the same cache recomputes only the unfinished points, as
+//! after a kill). Any other write error
 //! still panics, as the standard macros do.
 
 use std::fmt;

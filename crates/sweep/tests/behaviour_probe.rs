@@ -3,8 +3,8 @@
 //! The fingerprint is mixed into every cache key, so bumping it is what
 //! retires cached results after a change in simulated behaviour. Nothing
 //! forces a bump, though: a change that moves a statistic but keeps the
-//! fingerprint keeps serving the old results from every existing cache and
-//! journal. This test closes that gap. It simulates a small fixed probe set
+//! fingerprint keeps serving the old results from every existing cache.
+//! This test closes that gap. It simulates a small fixed probe set
 //! and commits a SHA-256 over the canonical JSON of every [`RunResult`]
 //! next to the fingerprint it was recorded under. When the digest moves
 //! while the fingerprint did not, the test fails and asks for the bump.

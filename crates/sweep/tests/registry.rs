@@ -108,21 +108,19 @@ struct EventCounts {
     point_started: usize,
     finished_hits: usize,
     finished_misses: usize,
-    restored: usize,
     failed: usize,
-    campaign_finished: Vec<(usize, usize, usize, usize, f64)>,
+    campaign_finished: Vec<(usize, usize, usize, f64)>,
 }
 
 /// The `--progress json` wire schema: every event kind a session emits and
 /// the exact ordered key list of its line.
-const EVENT_KEYS: [(&str, &[&str]); 6] = [
+const EVENT_KEYS: [(&str, &[&str]); 5] = [
     ("campaign_started", &["event", "campaign", "points"]),
     (
         "point_started",
         &["event", "index", "workload", "organization"],
     ),
     ("point_finished", &["event", "index", "cache_hit"]),
-    ("point_restored", &["event", "index", "from_cache"]),
     (
         "point_failed",
         &[
@@ -137,7 +135,7 @@ const EVENT_KEYS: [(&str, &[&str]); 6] = [
     (
         "campaign_finished",
         &[
-            "event", "campaign", "computed", "cached", "restored", "failed", "hit_rate",
+            "event", "campaign", "computed", "cached", "failed", "hit_rate",
         ],
     ),
 ];
@@ -148,7 +146,6 @@ fn count(events: &[CampaignEvent]) -> EventCounts {
         point_started: 0,
         finished_hits: 0,
         finished_misses: 0,
-        restored: 0,
         failed: 0,
         campaign_finished: Vec::new(),
     };
@@ -162,20 +159,18 @@ fn count(events: &[CampaignEvent]) -> EventCounts {
             CampaignEvent::PointFinished {
                 cache_hit: false, ..
             } => counts.finished_misses += 1,
-            CampaignEvent::PointRestored { .. } => counts.restored += 1,
-            // Never emitted; the key-list check below rejects its line.
-            CampaignEvent::PointCoalesced { .. } => {}
+            // Never emitted; the key-list check below rejects their lines.
+            CampaignEvent::PointRestored { .. } | CampaignEvent::PointCoalesced { .. } => {}
             CampaignEvent::PointFailed { .. } => counts.failed += 1,
             CampaignEvent::CampaignFinished {
                 computed,
                 cached,
-                restored,
                 failed,
                 hit_rate,
                 ..
             } => counts
                 .campaign_finished
-                .push((*computed, *cached, *restored, *failed, *hit_rate)),
+                .push((*computed, *cached, *failed, *hit_rate)),
         }
     }
     counts
@@ -186,13 +181,9 @@ fn assert_stream_matches(events: &[CampaignEvent], results: &SweepResults) {
     assert_eq!(counts.started, 1, "exactly one CampaignStarted");
     assert_eq!(counts.point_started, results.len(), "one start per point");
     assert_eq!(
-        counts.finished_hits + counts.finished_misses + counts.restored + counts.failed,
+        counts.finished_hits + counts.finished_misses + counts.failed,
         results.len(),
         "one terminal event per point"
-    );
-    assert_eq!(
-        counts.restored, 0,
-        "non-resume runs never restore from a journal"
     );
     assert_eq!(
         counts.finished_hits,
@@ -200,8 +191,7 @@ fn assert_stream_matches(events: &[CampaignEvent], results: &SweepResults) {
         "cache_hit flags"
     );
     assert_eq!(counts.failed, results.failure_count(), "failure events");
-    let &[(computed, cached, restored, failed, hit_rate)] = counts.campaign_finished.as_slice()
-    else {
+    let &[(computed, cached, failed, hit_rate)] = counts.campaign_finished.as_slice() else {
         panic!(
             "exactly one CampaignFinished, got {:?}",
             counts.campaign_finished
@@ -209,7 +199,6 @@ fn assert_stream_matches(events: &[CampaignEvent], results: &SweepResults) {
     };
     assert_eq!(computed, results.computed_count());
     assert_eq!(cached, results.cached_count());
-    assert_eq!(restored, 0, "non-resume runs report zero restored points");
     assert_eq!(failed, results.failure_count());
     assert!((hit_rate - results.cache_hit_rate()).abs() < 1e-12);
     // The last event of the stream is the campaign summary.
@@ -226,7 +215,6 @@ fn assert_stream_matches(events: &[CampaignEvent], results: &SweepResults) {
             panic!("event line is not an object: {line}");
         };
         let kind = fields[0].1.as_str().unwrap_or_default();
-        assert_ne!(kind, "point_coalesced", "never emitted: {line}");
         let Some((_, expected)) = EVENT_KEYS.iter().find(|(name, _)| *name == kind) else {
             panic!("unknown event kind: {line}");
         };
