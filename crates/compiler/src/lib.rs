@@ -9,7 +9,7 @@
 //!   register sets and annotates every instruction's *dead-operand bits*, the
 //!   information LTRF+ uses to avoid writing back and refetching dead
 //!   registers.
-//! * **Register-interval formation** ([`register_interval`], Algorithm 1 of
+//! * **Register-interval formation** (`register_interval`, Algorithm 1 of
 //!   the paper) partitions the CFG into single-entry subgraphs whose register
 //!   working-set fits within one warp's register-file-cache partition,
 //!   splitting basic blocks whose working-set alone overflows the partition.
@@ -49,7 +49,7 @@ pub mod liveness;
 mod partition;
 pub mod prefetch;
 pub mod reduce;
-pub mod register_interval;
+pub(crate) mod register_interval;
 pub mod strand;
 pub mod trace_analysis;
 

@@ -78,7 +78,7 @@ impl Liveness {
     ///
     /// Panics if `block` is out of range for the analyzed kernel.
     #[must_use]
-    pub fn live_out(&self, block: BlockId) -> &RegSet {
+    pub(crate) fn live_out(&self, block: BlockId) -> &RegSet {
         &self.live_out[block.index()]
     }
 
@@ -100,7 +100,7 @@ impl Liveness {
     ///
     /// Panics if `kernel` has a different number of blocks than the kernel
     /// this analysis was computed for.
-    pub fn annotate_dead_operands(&self, kernel: &mut Kernel) {
+    pub(crate) fn annotate_dead_operands(&self, kernel: &mut Kernel) {
         assert_eq!(
             kernel.cfg.block_count(),
             self.live_in.len(),

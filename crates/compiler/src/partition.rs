@@ -43,7 +43,7 @@ pub struct RegisterInterval {
 impl RegisterInterval {
     /// Returns the number of registers in the interval's working-set.
     #[must_use]
-    pub fn working_set_size(&self) -> usize {
+    pub(crate) fn working_set_size(&self) -> usize {
         self.working_set.len()
     }
 
@@ -98,13 +98,6 @@ impl RegisterIntervalPartition {
         self.intervals.len()
     }
 
-    /// Returns the per-interval register budget the partition was formed
-    /// under.
-    #[must_use]
-    pub const fn max_registers(&self) -> usize {
-        self.max_registers
-    }
-
     /// Returns the interval containing `block`.
     ///
     /// # Panics
@@ -130,19 +123,9 @@ impl RegisterIntervalPartition {
         self.intervals.iter()
     }
 
-    /// Returns the working-set of the interval that contains `block`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is not covered by the partition.
-    #[must_use]
-    pub fn working_set_of_block(&self, block: BlockId) -> &RegSet {
-        &self.interval(self.interval_of(block)).working_set
-    }
-
     /// Returns the mean working-set size across intervals.
     #[must_use]
-    pub fn mean_working_set(&self) -> f64 {
+    pub(crate) fn mean_working_set(&self) -> f64 {
         if self.intervals.is_empty() {
             return 0.0;
         }
@@ -156,7 +139,7 @@ impl RegisterIntervalPartition {
 
     /// Returns the largest working-set size across intervals.
     #[must_use]
-    pub fn max_working_set(&self) -> usize {
+    pub(crate) fn max_working_set(&self) -> usize {
         self.intervals
             .iter()
             .map(RegisterInterval::working_set_size)
@@ -235,7 +218,7 @@ impl RegisterIntervalPartition {
 
     /// Returns the number of static PREFETCH sites: one per interval header.
     #[must_use]
-    pub fn prefetch_site_count(&self) -> usize {
+    pub(crate) fn prefetch_site_count(&self) -> usize {
         self.intervals.len()
     }
 }
@@ -251,7 +234,9 @@ mod tests {
             id: IntervalId(0),
             header: cfg.entry(),
             blocks: blocks.clone(),
-            working_set: cfg.all_registers(),
+            working_set: cfg.blocks().fold(RegSet::new(), |set, block| {
+                set.union(&block.touched_registers())
+            }),
         };
         RegisterIntervalPartition::new(vec![interval], vec![IntervalId(0); cfg.block_count()], n)
     }
@@ -261,9 +246,9 @@ mod tests {
         let kernel = straight_line_kernel("k", 8, 10);
         let p = single_interval_partition(&kernel.cfg, 16);
         assert_eq!(p.interval_count(), 1);
-        assert_eq!(p.max_registers(), 16);
+        assert_eq!(p.max_registers, 16);
         assert_eq!(p.interval_of(BlockId(0)), IntervalId(0));
-        assert_eq!(p.working_set_of_block(BlockId(0)).len(), 8);
+        assert_eq!(p.interval(p.interval_of(BlockId(0))).working_set.len(), 8);
         assert!((p.mean_working_set() - 8.0).abs() < f64::EPSILON);
         assert_eq!(p.max_working_set(), 8);
         assert_eq!(p.prefetch_site_count(), 1);

@@ -49,7 +49,7 @@ impl Default for CodeSizeModel {
 impl CodeSizeModel {
     /// Bytes added per PREFETCH site under this model.
     #[must_use]
-    pub const fn bytes_per_site(&self) -> usize {
+    pub(crate) const fn bytes_per_site(&self) -> usize {
         match self.encoding {
             PrefetchEncoding::EmbeddedBitVector => self.bitvector_bytes,
             PrefetchEncoding::ExplicitInstruction => self.bitvector_bytes + self.instruction_bytes,
@@ -116,44 +116,15 @@ impl PrefetchSchedule {
         self.block_interval[block.index()]
     }
 
-    /// Returns `true` if moving from `from` to `to` crosses an interval
-    /// boundary and therefore triggers a PREFETCH.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either block is out of range.
-    #[must_use]
-    pub fn crosses_interval(&self, from: BlockId, to: BlockId) -> bool {
-        self.interval_of(from) != self.interval_of(to)
-    }
-
-    /// Number of PREFETCH sites in the kernel.
-    #[must_use]
-    pub fn site_count(&self) -> usize {
-        self.bitvectors.len()
-    }
-
     /// Relative code-size increase caused by PREFETCH metadata (e.g. `0.07`
     /// for 7%).
     #[must_use]
-    pub fn code_size_overhead(&self) -> f64 {
+    pub(crate) fn code_size_overhead(&self) -> f64 {
         if self.original_code_bytes == 0 {
             return 0.0;
         }
         (self.augmented_code_bytes - self.original_code_bytes) as f64
             / self.original_code_bytes as f64
-    }
-
-    /// Static code size without PREFETCH metadata, in bytes.
-    #[must_use]
-    pub const fn original_code_bytes(&self) -> usize {
-        self.original_code_bytes
-    }
-
-    /// Static code size including PREFETCH metadata, in bytes.
-    #[must_use]
-    pub const fn augmented_code_bytes(&self) -> usize {
-        self.augmented_code_bytes
     }
 }
 
@@ -168,7 +139,7 @@ mod tests {
         let kernel = straight_line_kernel("k", 32, 200);
         let (k2, p) = form_register_intervals(&kernel, 16).unwrap();
         let sched = PrefetchSchedule::build(&k2, &p, &CodeSizeModel::default());
-        assert_eq!(sched.site_count(), p.interval_count());
+        assert_eq!(sched.bitvectors.len(), p.interval_count());
         for block in k2.cfg.blocks() {
             let interval = sched.interval_of(block.id());
             let bv = sched.bitvector(interval);
@@ -191,7 +162,7 @@ mod tests {
         );
         assert!(embedded.code_size_overhead() > 0.0);
         assert!(explicit.code_size_overhead() > embedded.code_size_overhead());
-        assert!(explicit.augmented_code_bytes() > explicit.original_code_bytes());
+        assert!(explicit.augmented_code_bytes > explicit.original_code_bytes);
     }
 
     #[test]
@@ -203,7 +174,7 @@ mod tests {
         let b0 = BlockId(0);
         let mut found_crossing = false;
         for s in k2.cfg.successors(b0) {
-            if sched.crosses_interval(b0, s) {
+            if sched.interval_of(b0) != sched.interval_of(s) {
                 found_crossing = true;
             }
         }
@@ -211,7 +182,6 @@ mod tests {
             found_crossing,
             "split straight-line kernel must cross intervals"
         );
-        assert!(!sched.crosses_interval(b0, b0));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::{IntervalId, RegisterInterval, RegisterIntervalPartition};
 /// is never merged away: it is the one interval that is always entered from
 /// "outside" (kernel launch), so its PREFETCH cannot be subsumed.
 #[must_use]
-pub fn reduce_intervals(
+pub(crate) fn reduce_intervals(
     kernel: &Kernel,
     partition: &RegisterIntervalPartition,
     max_registers: usize,

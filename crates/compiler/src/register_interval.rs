@@ -53,7 +53,7 @@ struct BlockState {
 /// touches more than `max_registers` registers, and
 /// [`CompileError::InvalidSplitKernel`] if block splitting produced an
 /// invalid kernel (which would be an internal bug).
-pub fn form_register_intervals(
+pub(crate) fn form_register_intervals(
     kernel: &Kernel,
     max_registers: usize,
 ) -> Result<(Kernel, RegisterIntervalPartition), CompileError> {

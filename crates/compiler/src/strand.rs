@@ -31,7 +31,7 @@ use crate::{CompileError, IntervalId, RegisterInterval, RegisterIntervalPartitio
 ///
 /// Returns [`CompileError::IntervalBudgetTooSmall`] if a single instruction
 /// touches more than `max_registers` registers.
-pub fn form_strands(
+pub(crate) fn form_strands(
     kernel: &Kernel,
     max_registers: usize,
 ) -> Result<(Kernel, RegisterIntervalPartition), CompileError> {

@@ -38,7 +38,7 @@ impl IntervalLengthStats {
     /// Computes statistics from a list of lengths. Returns the default (all
     /// zeros) for an empty list.
     #[must_use]
-    pub fn from_lengths(lengths: &[u64]) -> Self {
+    pub(crate) fn from_lengths(lengths: &[u64]) -> Self {
         if lengths.is_empty() {
             return IntervalLengthStats::default();
         }

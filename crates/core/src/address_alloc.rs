@@ -16,7 +16,6 @@ use serde::{Deserialize, Serialize};
 pub struct AllocationQueue {
     unused: VecDeque<u8>,
     occupied: Vec<u8>,
-    capacity: usize,
 }
 
 impl AllocationQueue {
@@ -31,31 +30,12 @@ impl AllocationQueue {
         AllocationQueue {
             unused: (0..capacity as u16).map(|i| i as u8).collect(),
             occupied: Vec::with_capacity(capacity),
-            capacity,
         }
-    }
-
-    /// Total number of slots managed.
-    #[must_use]
-    pub const fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of slots currently free.
-    #[must_use]
-    pub fn free(&self) -> usize {
-        self.unused.len()
-    }
-
-    /// Number of slots currently allocated.
-    #[must_use]
-    pub fn allocated(&self) -> usize {
-        self.occupied.len()
     }
 
     /// Allocates the next free slot, moving it to the occupied queue.
     /// Returns `None` if every slot is in use.
-    pub fn allocate(&mut self) -> Option<u8> {
+    pub(crate) fn allocate(&mut self) -> Option<u8> {
         let slot = self.unused.pop_front()?;
         self.occupied.push(slot);
         Some(slot)
@@ -66,7 +46,7 @@ impl AllocationQueue {
     /// Releasing a slot that is not currently allocated is ignored (the
     /// hardware cannot express this situation; the model tolerates it so
     /// teardown code can be unconditional).
-    pub fn release(&mut self, slot: u8) {
+    pub(crate) fn release(&mut self, slot: u8) {
         if let Some(pos) = self.occupied.iter().position(|&s| s == slot) {
             self.occupied.swap_remove(pos);
             self.unused.push_back(slot);
@@ -74,7 +54,7 @@ impl AllocationQueue {
     }
 
     /// Releases every allocated slot.
-    pub fn release_all(&mut self) {
+    pub(crate) fn release_all(&mut self) {
         for slot in self.occupied.drain(..) {
             self.unused.push_back(slot);
         }
@@ -88,18 +68,17 @@ mod tests {
     #[test]
     fn allocation_exhausts_and_replenishes() {
         let mut q = AllocationQueue::new(3);
-        assert_eq!(q.capacity(), 3);
-        assert_eq!(q.free(), 3);
+        assert_eq!(q.unused.len(), 3);
         let a = q.allocate().unwrap();
         let b = q.allocate().unwrap();
         let c = q.allocate().unwrap();
         assert_eq!(q.allocate(), None, "pool exhausted");
-        assert_eq!(q.allocated(), 3);
+        assert_eq!(q.occupied.len(), 3);
         let mut all = vec![a, b, c];
         all.sort_unstable();
         assert_eq!(all, vec![0, 1, 2]);
         q.release(b);
-        assert_eq!(q.free(), 1);
+        assert_eq!(q.unused.len(), 1);
         assert_eq!(q.allocate(), Some(b), "released slot is reused");
     }
 
@@ -109,8 +88,8 @@ mod tests {
         let _ = q.allocate();
         let _ = q.allocate();
         q.release_all();
-        assert_eq!(q.free(), 4);
-        assert_eq!(q.allocated(), 0);
+        assert_eq!(q.unused.len(), 4);
+        assert!(q.occupied.is_empty());
     }
 
     #[test]
@@ -119,7 +98,7 @@ mod tests {
         let a = q.allocate().unwrap();
         q.release(a);
         q.release(a);
-        assert_eq!(q.free(), 2, "double release must not duplicate slots");
+        assert_eq!(q.unused.len(), 2, "double release must not duplicate slots");
     }
 
     #[test]

@@ -3,16 +3,13 @@
 //! The paper defines the *maximum tolerable register-file access latency* of
 //! a design as the largest main-register-file latency (relative to the
 //! baseline) that costs at most a given IPC loss (5% by default, with 1% and
-//! 10% variants). This module sweeps the latency factor for an organization
-//! and finds that point.
+//! 10% variants). This module assembles an organization's measured
+//! latency curve and finds that point; the `sweep fig11` campaign measures
+//! the curves.
 
 use serde::{Deserialize, Serialize};
 
-use ltrf_isa::Kernel;
-use ltrf_sim::MemoryBehavior;
-
-use crate::runner::{run_experiment, ExperimentConfig};
-use crate::{CoreError, Organization};
+use crate::Organization;
 
 /// One point of a latency sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -37,8 +34,7 @@ pub struct LatencySweep {
 impl LatencySweep {
     /// Assembles a sweep from raw `(latency factor, IPC)` measurements,
     /// normalizing each point against the 1× factor's IPC. This is the one
-    /// place that curve-to-tolerance assembly lives; every driver (the
-    /// per-figure harness, the `sweep` CLI) goes through it.
+    /// place that curve-to-tolerance assembly lives.
     ///
     /// Returns `None` when no 1× point is present or its IPC is zero — the
     /// relative curve would be meaningless.
@@ -86,73 +82,6 @@ impl LatencySweep {
     }
 }
 
-/// Sweeps the main-register-file latency factor for `organization` and
-/// reports IPC at every point.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidExperiment`] if `latency_factors` is empty and
-/// propagates compiler failures.
-pub fn latency_sweep(
-    kernel: &Kernel,
-    memory: MemoryBehavior,
-    seed: u64,
-    organization: Organization,
-    latency_factors: &[f64],
-    base_config: &ExperimentConfig,
-) -> Result<LatencySweep, CoreError> {
-    if latency_factors.is_empty() {
-        return Err(CoreError::InvalidExperiment(
-            "latency sweep needs at least one latency factor".to_string(),
-        ));
-    }
-    let measure = |factor: f64| -> Result<f64, CoreError> {
-        let config = ExperimentConfig {
-            organization,
-            ..*base_config
-        }
-        .with_latency_factor(factor);
-        Ok(run_experiment(kernel, memory, seed, &config)?.ipc)
-    };
-    let mut pairs = Vec::with_capacity(latency_factors.len() + 1);
-    for &factor in latency_factors {
-        pairs.push((factor, measure(factor)?));
-    }
-    // The curve is always normalized against the 1x point; measure it
-    // separately when the caller's factor list does not include it.
-    let had_unity = pairs.iter().any(|(f, _)| (*f - 1.0).abs() < 1e-12);
-    if !had_unity {
-        pairs.push((1.0, measure(1.0)?));
-    }
-    let mut sweep = LatencySweep::from_ipc_points(organization, &pairs).unwrap_or_else(|| {
-        // Degenerate zero-IPC reference: keep absolute IPCs, report zero
-        // relative IPC everywhere.
-        let mut points: Vec<LatencySweepPoint> = pairs
-            .iter()
-            .map(|&(latency_factor, ipc)| LatencySweepPoint {
-                latency_factor,
-                ipc,
-                relative_ipc: 0.0,
-            })
-            .collect();
-        points.sort_by(|a, b| {
-            a.latency_factor
-                .partial_cmp(&b.latency_factor)
-                .expect("finite")
-        });
-        LatencySweep {
-            organization,
-            points,
-        }
-    });
-    if !had_unity {
-        sweep
-            .points
-            .retain(|p| (p.latency_factor - 1.0).abs() >= 1e-12);
-    }
-    Ok(sweep)
-}
-
 /// The latency factors swept in the paper's Figures 11–14 (1× through 7×).
 #[must_use]
 pub fn paper_latency_factors() -> Vec<f64> {
@@ -162,7 +91,9 @@ pub fn paper_latency_factors() -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ltrf_isa::{ArchReg, KernelBuilder, LaunchConfig, Opcode};
+    use crate::runner::{run_experiment, ExperimentConfig};
+    use ltrf_isa::{ArchReg, Kernel, KernelBuilder, LaunchConfig, Opcode};
+    use ltrf_sim::MemoryBehavior;
 
     fn kernel() -> Kernel {
         let mut b = KernelBuilder::new("sweep-test", 24);
@@ -193,18 +124,24 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// `organization`'s measured IPC curve over `factors` on [`kernel`],
+    /// assembled the way `sweep fig11` assembles it.
+    fn sweep(organization: Organization, factors: &[f64], seed: u64) -> Option<LatencySweep> {
+        let k = kernel();
+        let ipc_points: Vec<(f64, f64)> = factors
+            .iter()
+            .map(|&factor| {
+                let config = ExperimentConfig::new(organization).with_latency_factor(factor);
+                let result = run_experiment(&k, MemoryBehavior::cache_resident(), seed, &config);
+                (factor, result.unwrap().ipc)
+            })
+            .collect();
+        LatencySweep::from_ipc_points(organization, &ipc_points)
+    }
+
     #[test]
     fn sweep_is_sorted_and_relative_to_unity() {
-        let k = kernel();
-        let sweep = latency_sweep(
-            &k,
-            MemoryBehavior::cache_resident(),
-            1,
-            Organization::Baseline,
-            &[4.0, 1.0, 7.0],
-            &ExperimentConfig::new(Organization::Baseline),
-        )
-        .unwrap();
+        let sweep = sweep(Organization::Baseline, &[4.0, 1.0, 7.0], 1).unwrap();
         assert_eq!(sweep.points.len(), 3);
         assert!((sweep.points[0].latency_factor - 1.0).abs() < 1e-9);
         assert!((sweep.points[0].relative_ipc - 1.0).abs() < 1e-9);
@@ -213,46 +150,27 @@ mod tests {
 
     #[test]
     fn ltrf_tolerates_more_latency_than_baseline() {
-        let k = kernel();
         let factors = [1.0, 2.0, 4.0, 6.0];
-        let base = latency_sweep(
-            &k,
-            MemoryBehavior::cache_resident(),
-            2,
-            Organization::Baseline,
-            &factors,
-            &ExperimentConfig::new(Organization::Baseline),
-        )
-        .unwrap();
-        let ltrf = latency_sweep(
-            &k,
-            MemoryBehavior::cache_resident(),
-            2,
-            Organization::Ltrf,
-            &factors,
-            &ExperimentConfig::new(Organization::Ltrf),
-        )
-        .unwrap();
-        let bl_tol = base.max_tolerable_latency(0.05);
-        let ltrf_tol = ltrf.max_tolerable_latency(0.05);
+        let bl_tol = sweep(Organization::Baseline, &factors, 2)
+            .unwrap()
+            .max_tolerable_latency(0.05);
+        let ltrf_tol = sweep(Organization::Ltrf, &factors, 2)
+            .unwrap()
+            .max_tolerable_latency(0.05);
         assert!(
             ltrf_tol >= bl_tol,
             "LTRF ({ltrf_tol}) must tolerate at least as much latency as BL ({bl_tol})"
         );
     }
 
+    /// A curve without a 1× point has nothing to be relative to.
     #[test]
     fn empty_sweep_is_rejected() {
-        let k = kernel();
-        let err = latency_sweep(
-            &k,
-            MemoryBehavior::cache_resident(),
-            1,
-            Organization::Baseline,
-            &[],
-            &ExperimentConfig::new(Organization::Baseline),
+        assert_eq!(
+            LatencySweep::from_ipc_points(Organization::Baseline, &[]),
+            None
         );
-        assert!(matches!(err, Err(CoreError::InvalidExperiment(_))));
+        assert_eq!(sweep(Organization::Baseline, &[2.0, 4.0], 1), None);
     }
 
     #[test]

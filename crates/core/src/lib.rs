@@ -23,11 +23,11 @@
 //! * [`organizations`] — the register-file models: `BL`, `RFC`, `SHRF`,
 //!   `LTRF`, `LTRF+`, `LTRF (strand)`, and `Ideal`, all implementing
 //!   [`ltrf_sim::RegisterFileModel`].
-//! * [`wcb`] / [`address_alloc`] — the Warp Control Block and Address
+//! * [`wcb`] / `address_alloc` — the Warp Control Block and Address
 //!   Allocation Unit hardware structures (Figures 7 and 8).
 //! * [`runner`] — run one kernel under one organization and Table 2 design
 //!   point; report IPC and register-file power.
-//! * [`latency_tolerance`] — the maximum-tolerable-latency metric (Figure 11).
+//! * [`LatencySweep`] — the maximum-tolerable-latency metric (Figure 11).
 //! * [`occupancy`] — the Table 1 capacity-requirement arithmetic.
 //! * [`overheads`] — the §4.3 area/storage/code-size accounting.
 //!
@@ -48,9 +48,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod address_alloc;
+pub(crate) mod address_alloc;
 mod error;
-pub mod latency_tolerance;
+pub(crate) mod latency_tolerance;
 pub mod occupancy;
 pub mod organizations;
 pub mod overheads;
@@ -58,9 +58,7 @@ pub mod runner;
 pub mod wcb;
 
 pub use error::CoreError;
-pub use latency_tolerance::{
-    latency_sweep, paper_latency_factors, LatencySweep, LatencySweepPoint,
-};
+pub use latency_tolerance::{paper_latency_factors, LatencySweep, LatencySweepPoint};
 pub use ltrf_sim::EngineKind;
 pub use ltrf_sim::{InterconnectConfig, InterconnectStats, InterleaveMode, Topology};
 pub use occupancy::{capacity_requirement, CapacityRequirement, GpuArchitecture};

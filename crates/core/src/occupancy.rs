@@ -52,18 +52,9 @@ impl GpuArchitecture {
     /// Register-file bytes needed for a kernel demanding `regs_per_thread`
     /// registers to reach the architecture's maximum warp occupancy.
     #[must_use]
-    pub fn required_regfile_bytes(&self, regs_per_thread: u16) -> u64 {
+    pub(crate) fn required_regfile_bytes(&self, regs_per_thread: u16) -> u64 {
         let regs = regs_per_thread.min(self.max_regs_per_thread) as u64;
         regs * 4 * self.threads_per_warp as u64 * self.max_warps as u64
-    }
-
-    /// Number of warps the baseline register file can hold for a kernel
-    /// demanding `regs_per_thread` registers.
-    #[must_use]
-    pub fn occupancy_warps(&self, regs_per_thread: u16) -> u32 {
-        let regs = regs_per_thread.min(self.max_regs_per_thread).max(1) as u64;
-        let per_warp = regs * 4 * self.threads_per_warp as u64;
-        ((self.baseline_regfile_bytes / per_warp) as u32).min(self.max_warps)
     }
 }
 
@@ -145,16 +136,6 @@ mod tests {
             GpuArchitecture::fermi().required_regfile_bytes(200),
             GpuArchitecture::fermi().required_regfile_bytes(64)
         );
-    }
-
-    #[test]
-    fn occupancy_is_capped_by_register_file_and_warp_limit() {
-        let maxwell = GpuArchitecture::maxwell();
-        assert_eq!(maxwell.occupancy_warps(32), 64);
-        assert_eq!(maxwell.occupancy_warps(64), 32);
-        assert_eq!(maxwell.occupancy_warps(128), 16);
-        // Tiny kernels are capped by the warp limit, not the register file.
-        assert_eq!(maxwell.occupancy_warps(8), 64);
     }
 
     #[test]

@@ -44,17 +44,7 @@ impl Default for LtrfParams {
     }
 }
 
-impl LtrfParams {
-    /// Returns parameters for the liveness-aware variant (LTRF+).
-    #[must_use]
-    pub const fn plus() -> Self {
-        LtrfParams {
-            registers_per_interval: 16,
-            active_warps: 8,
-            liveness_aware: true,
-        }
-    }
-}
+impl LtrfParams {}
 
 #[derive(Debug)]
 struct LtrfWarpState {
@@ -127,21 +117,9 @@ impl LtrfRegisterFile {
     /// Overrides the reported name (used for the LTRF-with-strands
     /// comparison point so reports can distinguish it).
     #[must_use]
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
+    pub(crate) fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
         self
-    }
-
-    /// The parameters this organization was built with.
-    #[must_use]
-    pub const fn params(&self) -> LtrfParams {
-        self.params
-    }
-
-    /// The compiled kernel driving PREFETCH placement.
-    #[must_use]
-    pub fn compiled(&self) -> &CompiledKernel {
-        &self.compiled
     }
 
     /// Grows the per-warp state to cover `warp`. Only activation calls it:
@@ -457,7 +435,14 @@ mod tests {
         let compiled = compiled_straight(8, 40);
         let timing = RegFileTiming::default().with_latency_factor(6.3);
         // LTRF+ with nothing live yet: activation fetches nothing.
-        let mut plus = LtrfRegisterFile::new(compiled.clone(), timing, LtrfParams::plus());
+        let mut plus = LtrfRegisterFile::new(
+            compiled.clone(),
+            timing,
+            LtrfParams {
+                liveness_aware: true,
+                ..LtrfParams::default()
+            },
+        );
         let ready = plus.warp_activated(WarpId(0), BlockId(0), 0);
         assert_eq!(ready, 0, "no live registers, nothing to fetch");
         assert_eq!(plus.access_counts().mrf_reads, 0);
@@ -471,7 +456,14 @@ mod tests {
     fn ltrf_plus_liveness_reduces_writebacks() {
         let compiled = compiled_straight(8, 40);
         let timing = RegFileTiming::default();
-        let mut rf = LtrfRegisterFile::new(compiled, timing, LtrfParams::plus());
+        let mut rf = LtrfRegisterFile::new(
+            compiled,
+            timing,
+            LtrfParams {
+                liveness_aware: true,
+                ..LtrfParams::default()
+            },
+        );
         let t0 = rf.warp_activated(WarpId(0), BlockId(0), 0);
         let _ = rf.write_register(WarpId(0), ArchReg::new(1), t0);
         let _ = rf.write_register(WarpId(0), ArchReg::new(2), t0 + 1);

@@ -6,7 +6,7 @@
 //! | `RFC` | [`RfcRegisterFile`] | demand-driven hardware register cache |
 //! | `SHRF` | [`ShrfRegisterFile`] | compile-time managed hierarchy over strands |
 //! | `LTRF` | [`LtrfRegisterFile`] | register-interval prefetching (this paper) |
-//! | `LTRF+` | [`LtrfRegisterFile`] with [`LtrfParams::plus`] | LTRF plus operand-liveness awareness |
+//! | `LTRF+` | [`LtrfRegisterFile`] with [`LtrfParams::liveness_aware`] | LTRF plus operand-liveness awareness |
 //! | `Ideal` | [`ltrf_sim::IdealRegisterFile`] | 8× capacity at baseline latency |
 
 mod ltrf;
@@ -72,19 +72,6 @@ impl Organization {
             Organization::LtrfStrand => "LTRF (strand)",
             Organization::Ideal => "Ideal",
         }
-    }
-
-    /// Returns `true` if this organization needs the kernel to be compiled
-    /// with prefetch subgraphs.
-    #[must_use]
-    pub const fn needs_compilation(self) -> bool {
-        matches!(
-            self,
-            Organization::Shrf
-                | Organization::Ltrf
-                | Organization::LtrfPlus
-                | Organization::LtrfStrand
-        )
     }
 
     /// The prefetch-subgraph kind this organization compiles with, if any.
@@ -245,8 +232,6 @@ mod tests {
         assert_eq!(Organization::all().len(), 7);
         assert_eq!(Organization::Ltrf.label(), "LTRF");
         assert_eq!(Organization::LtrfPlus.to_string(), "LTRF+");
-        assert!(Organization::Ltrf.needs_compilation());
-        assert!(!Organization::Baseline.needs_compilation());
         assert_eq!(
             Organization::LtrfStrand.subgraph_kind(),
             Some(PrefetchSubgraphKind::Strand)

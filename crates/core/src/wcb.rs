@@ -25,8 +25,6 @@ pub struct WarpControlBlock {
     /// Register-cache bank number per architectural register (`None` when the
     /// register is not cached).
     bank_of: Vec<Option<u8>>,
-    /// Slot within every cache bank that belongs to this warp.
-    warp_offset: Option<u8>,
     /// Valid bits: registers of the current working set already fetched.
     working_set: RegSet,
     /// Liveness bits (LTRF+).
@@ -39,7 +37,6 @@ impl WarpControlBlock {
     pub fn new() -> Self {
         WarpControlBlock {
             bank_of: vec![None; MAX_ARCH_REGS],
-            warp_offset: None,
             working_set: RegSet::new(),
             liveness: RegSet::new(),
         }
@@ -47,18 +44,18 @@ impl WarpControlBlock {
 
     /// Returns the cache bank currently holding `reg`, if any.
     #[must_use]
-    pub fn bank_of(&self, reg: ArchReg) -> Option<u8> {
+    pub(crate) fn bank_of(&self, reg: ArchReg) -> Option<u8> {
         self.bank_of[reg.index()]
     }
 
     /// Records that `reg` now lives in cache bank `bank`.
-    pub fn map_register(&mut self, reg: ArchReg, bank: u8) {
+    pub(crate) fn map_register(&mut self, reg: ArchReg, bank: u8) {
         self.bank_of[reg.index()] = Some(bank);
         self.working_set.insert(reg);
     }
 
     /// Removes the mapping of `reg`, returning the bank it occupied.
-    pub fn unmap_register(&mut self, reg: ArchReg) -> Option<u8> {
+    pub(crate) fn unmap_register(&mut self, reg: ArchReg) -> Option<u8> {
         self.working_set.remove(reg);
         self.bank_of[reg.index()].take()
     }
@@ -67,7 +64,7 @@ impl WarpControlBlock {
     /// its register-cache slots; the caller frees the banks wholesale. Only
     /// the mapped registers are visited: a register has a bank exactly when
     /// it is in the working set.
-    pub fn unmap_all(&mut self) {
+    pub(crate) fn unmap_all(&mut self) {
         for reg in self.working_set.iter() {
             self.bank_of[reg.index()] = None;
         }
@@ -76,46 +73,30 @@ impl WarpControlBlock {
 
     /// Registers currently mapped into the cache.
     #[must_use]
-    pub fn cached_registers(&self) -> RegSet {
+    pub(crate) fn cached_registers(&self) -> RegSet {
         self.working_set
     }
 
     /// Returns `true` if `reg` is currently cached.
     #[must_use]
-    pub fn is_cached(&self, reg: ArchReg) -> bool {
+    pub(crate) fn is_cached(&self, reg: ArchReg) -> bool {
         self.working_set.contains(reg)
     }
 
-    /// The warp-offset address (slot index inside each bank).
-    #[must_use]
-    pub const fn warp_offset(&self) -> Option<u8> {
-        self.warp_offset
-    }
-
-    /// Assigns the warp-offset address.
-    pub fn set_warp_offset(&mut self, offset: Option<u8>) {
-        self.warp_offset = offset;
-    }
-
     /// Marks `reg` live (it has been written).
-    pub fn mark_live(&mut self, reg: ArchReg) {
+    pub(crate) fn mark_live(&mut self, reg: ArchReg) {
         self.liveness.insert(reg);
     }
 
     /// Marks the registers in `dying` dead (their last read has happened).
-    pub fn mark_dead(&mut self, dying: &RegSet) {
+    pub(crate) fn mark_dead(&mut self, dying: &RegSet) {
         self.liveness = self.liveness.difference(dying);
     }
 
     /// The current liveness bit-vector.
     #[must_use]
-    pub fn live_registers(&self) -> RegSet {
+    pub(crate) fn live_registers(&self) -> RegSet {
         self.liveness
-    }
-
-    /// Clears the liveness bit-vector (warp start).
-    pub fn clear_liveness(&mut self) {
-        self.liveness.clear();
     }
 }
 
@@ -143,7 +124,7 @@ impl WcbStorageCost {
     /// working-set bit plus one liveness bit; each warp additionally stores a
     /// ⌈log2(#active-warps)⌉-bit warp-offset address.
     #[must_use]
-    pub fn compute(
+    pub(crate) fn compute(
         warps: u64,
         regs_per_warp: u64,
         registers_per_interval: u64,
@@ -168,7 +149,7 @@ impl WcbStorageCost {
 
     /// Storage as a fraction of a register file of `regfile_bytes` bytes.
     #[must_use]
-    pub fn fraction_of_regfile(&self, regfile_bytes: u64) -> f64 {
+    pub(crate) fn fraction_of_regfile(&self, regfile_bytes: u64) -> f64 {
         self.total_bytes() as f64 / regfile_bytes as f64
     }
 }
@@ -225,18 +206,6 @@ mod tests {
         wcb.mark_dead(&[r(1)].into_iter().collect());
         assert!(!wcb.live_registers().contains(r(1)));
         assert!(wcb.live_registers().contains(r(2)));
-        wcb.clear_liveness();
-        assert!(wcb.live_registers().is_empty());
-    }
-
-    #[test]
-    fn warp_offset_assignment() {
-        let mut wcb = WarpControlBlock::new();
-        assert_eq!(wcb.warp_offset(), None);
-        wcb.set_warp_offset(Some(5));
-        assert_eq!(wcb.warp_offset(), Some(5));
-        let default_wcb = WarpControlBlock::default();
-        assert_eq!(default_wcb.warp_offset(), None);
     }
 
     #[test]

@@ -96,12 +96,6 @@ impl Terminator {
             Terminator::Exit => Vec::new(),
         }
     }
-
-    /// Returns `true` if this terminator ends the kernel.
-    #[must_use]
-    pub const fn is_exit(&self) -> bool {
-        matches!(self, Terminator::Exit)
-    }
 }
 
 /// A basic block: a straight-line sequence of instructions ending in a
@@ -154,7 +148,7 @@ impl BasicBlock {
     }
 
     /// Sets the terminator, replacing any existing one.
-    pub fn set_terminator(&mut self, t: Terminator) {
+    pub(crate) fn set_terminator(&mut self, t: Terminator) {
         self.terminator = Some(t);
     }
 
@@ -208,16 +202,6 @@ impl BasicBlock {
         }
         (uses, defs)
     }
-
-    /// Returns `true` if the block contains at least one long-latency
-    /// operation (global memory access or barrier), which would terminate a
-    /// *strand* in the SHRF comparison design.
-    #[must_use]
-    pub fn has_long_latency_op(&self) -> bool {
-        self.instructions
-            .iter()
-            .any(|i| i.opcode().is_long_latency())
-    }
 }
 
 #[cfg(test)]
@@ -260,8 +244,6 @@ mod tests {
         };
         assert_eq!(same.successors(), vec![BlockId(2)]);
         assert!(Terminator::Exit.successors().is_empty());
-        assert!(Terminator::Exit.is_exit());
-        assert!(!j.is_exit());
     }
 
     #[test]
@@ -289,20 +271,12 @@ mod tests {
     }
 
     #[test]
-    fn long_latency_detection() {
-        let without = block_with(&[Instruction::new(Opcode::FAlu, Some(r(1)), &[r(0)])]);
-        assert!(!without.has_long_latency_op());
-        let with = block_with(&[Instruction::new(Opcode::LoadGlobal, Some(r(1)), &[r(0)])]);
-        assert!(with.has_long_latency_op());
-    }
-
-    #[test]
     fn terminator_replacement() {
         let mut b = BasicBlock::new(BlockId(5));
         assert!(b.terminator().is_none());
         assert!(b.is_empty());
         b.set_terminator(Terminator::Exit);
-        assert!(b.terminator().unwrap().is_exit());
+        assert_eq!(b.terminator(), Some(&Terminator::Exit));
         b.set_terminator(Terminator::Jump(BlockId(1)));
         assert_eq!(b.successors(), vec![BlockId(1)]);
     }

@@ -259,7 +259,6 @@ mod tests {
         let k = straight_line_kernel("s", 8, 20);
         assert_eq!(k.static_instruction_count(), 20);
         assert_eq!(k.cfg.block_count(), 1);
-        assert_eq!(k.referenced_registers().len(), 8);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::{HashSet, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
-use crate::{BasicBlock, BlockId, IsaError, RegSet, Terminator};
+use crate::{BasicBlock, BlockId, IsaError, Terminator};
 
 /// A control-flow graph: a set of basic blocks with a designated entry block.
 ///
@@ -134,7 +134,7 @@ impl Cfg {
 
     /// Returns the set of blocks reachable from the entry block.
     #[must_use]
-    pub fn reachable(&self) -> HashSet<BlockId> {
+    pub(crate) fn reachable(&self) -> HashSet<BlockId> {
         let mut seen = HashSet::new();
         let mut queue = VecDeque::new();
         queue.push_back(self.entry);
@@ -149,57 +149,10 @@ impl Cfg {
         seen
     }
 
-    /// Returns the back edges `(from, to)` of the CFG, where `to` dominates
-    /// `from` is *approximated* by `to` being an ancestor of `from` in the
-    /// DFS spanning tree. For the reducible CFGs produced by
-    /// [`crate::KernelBuilder`] this identifies exactly the natural-loop back
-    /// edges.
-    #[must_use]
-    pub fn back_edges(&self) -> Vec<(BlockId, BlockId)> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Color {
-            White,
-            Grey,
-            Black,
-        }
-        let mut color = vec![Color::White; self.blocks.len()];
-        let mut edges = Vec::new();
-        let mut stack: Vec<(BlockId, usize)> = vec![(self.entry, 0)];
-        color[self.entry.index()] = Color::Grey;
-        while let Some((block, child)) = stack.pop() {
-            let succs = self.successors(block);
-            if child < succs.len() {
-                stack.push((block, child + 1));
-                let s = succs[child];
-                match color[s.index()] {
-                    Color::White => {
-                        color[s.index()] = Color::Grey;
-                        stack.push((s, 0));
-                    }
-                    Color::Grey => edges.push((block, s)),
-                    Color::Black => {}
-                }
-            } else {
-                color[block.index()] = Color::Black;
-            }
-        }
-        edges
-    }
-
     /// Returns the total number of static instructions in the CFG.
     #[must_use]
     pub fn static_instruction_count(&self) -> usize {
         self.blocks.iter().map(BasicBlock::len).sum()
-    }
-
-    /// Returns the set of all registers referenced anywhere in the CFG.
-    #[must_use]
-    pub fn all_registers(&self) -> RegSet {
-        let mut set = RegSet::new();
-        for b in &self.blocks {
-            set.union_with(&b.touched_registers());
-        }
-        set
     }
 
     /// Splits the block `id` at instruction index `at`, moving instructions
@@ -343,19 +296,9 @@ mod tests {
     }
 
     #[test]
-    fn back_edges_identify_loops() {
-        let cfg = nested_loop_cfg();
-        let edges = cfg.back_edges();
-        assert!(edges.contains(&(BlockId(2), BlockId(1))), "inner loop edge");
-        assert!(edges.contains(&(BlockId(3), BlockId(0))), "outer loop edge");
-        assert_eq!(edges.len(), 2);
-    }
-
-    #[test]
     fn static_counts_and_registers() {
         let cfg = nested_loop_cfg();
         assert_eq!(cfg.static_instruction_count(), 3);
-        assert_eq!(cfg.all_registers().len(), 3);
     }
 
     #[test]

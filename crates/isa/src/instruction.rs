@@ -46,23 +46,6 @@ impl Instruction {
         }
     }
 
-    /// Creates an instruction with a dead-operand mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than [`Self::MAX_SOURCES`] source operands are given.
-    #[must_use]
-    pub fn with_dead_mask(
-        opcode: Opcode,
-        dst: Option<ArchReg>,
-        srcs: &[ArchReg],
-        dead_mask: u8,
-    ) -> Self {
-        let mut inst = Instruction::new(opcode, dst, srcs);
-        inst.dead_mask = dead_mask;
-        inst
-    }
-
     /// Returns the opcode.
     #[must_use]
     pub const fn opcode(&self) -> Opcode {
@@ -129,13 +112,6 @@ impl Instruction {
         }
         set
     }
-
-    /// Returns the number of register-file read ports this instruction needs
-    /// (one per distinct source register).
-    #[must_use]
-    pub fn read_port_demand(&self) -> usize {
-        self.reads().len()
-    }
 }
 
 impl fmt::Display for Instruction {
@@ -176,7 +152,6 @@ mod tests {
         assert_eq!(i.dst(), Some(r(3)));
         assert_eq!(i.srcs(), &[r(1), r(2), r(3)]);
         assert_eq!(i.dead_mask(), 0);
-        assert_eq!(i.read_port_demand(), 3);
     }
 
     #[test]
@@ -198,7 +173,8 @@ mod tests {
 
     #[test]
     fn dead_mask_and_dying_registers() {
-        let mut i = Instruction::with_dead_mask(Opcode::FAlu, Some(r(4)), &[r(1), r(2)], 0b10);
+        let mut i = Instruction::new(Opcode::FAlu, Some(r(4)), &[r(1), r(2)]);
+        i.set_dead_mask(0b10);
         assert!(!i.is_src_dead(0));
         assert!(i.is_src_dead(1));
         assert_eq!(i.dying_registers().to_vec(), vec![r(2)]);
@@ -211,12 +187,13 @@ mod tests {
     #[test]
     fn duplicate_source_counts_once_for_ports() {
         let i = Instruction::new(Opcode::FAlu, Some(r(4)), &[r(1), r(1)]);
-        assert_eq!(i.read_port_demand(), 1);
+        assert_eq!(i.reads().len(), 1);
     }
 
     #[test]
     fn display_marks_dead_operands() {
-        let i = Instruction::with_dead_mask(Opcode::FAlu, Some(r(4)), &[r(1), r(2)], 0b10);
+        let mut i = Instruction::new(Opcode::FAlu, Some(r(4)), &[r(1), r(2)]);
+        i.set_dead_mask(0b10);
         let s = i.to_string();
         assert!(s.starts_with("fadd r4, r1"));
         assert!(s.contains("r2†"));

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Cfg, IsaError, RegSet, MAX_ARCH_REGS};
+use crate::{Cfg, IsaError, MAX_ARCH_REGS};
 
 /// Kernel launch configuration (grid shape flattened to warp counts).
 ///
@@ -140,22 +140,10 @@ impl Kernel {
         matches!(self.sensitivity, RegisterSensitivity::Sensitive)
     }
 
-    /// Returns the set of registers actually referenced by the kernel's code.
-    #[must_use]
-    pub fn referenced_registers(&self) -> RegSet {
-        self.cfg.all_registers()
-    }
-
     /// Number of static instructions in the kernel.
     #[must_use]
     pub fn static_instruction_count(&self) -> usize {
         self.cfg.static_instruction_count()
-    }
-
-    /// Register-file bytes needed per *warp* (32 threads × 4 bytes × regs).
-    #[must_use]
-    pub const fn regfile_bytes_per_warp(&self) -> u64 {
-        self.regs_per_thread as u64 * 32 * 4
     }
 
     /// Returns a copy whose grid launches `factor` times as many thread
@@ -197,9 +185,7 @@ mod tests {
         assert_eq!(k.name(), "k");
         assert_eq!(k.regs_per_thread(), 8);
         assert!(k.is_register_sensitive());
-        assert_eq!(k.referenced_registers().len(), 4);
         assert_eq!(k.static_instruction_count(), 4);
-        assert_eq!(k.regfile_bytes_per_warp(), 8 * 32 * 4);
         assert_eq!(k.launch().total_warps(), 8 * 64);
     }
 

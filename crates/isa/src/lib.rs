@@ -55,6 +55,6 @@ pub use cfg::Cfg;
 pub use error::IsaError;
 pub use instruction::Instruction;
 pub use kernel::{Kernel, LaunchConfig, RegisterSensitivity};
-pub use opcode::{MemorySpace, Opcode, OpcodeClass};
+pub use opcode::{Opcode, OpcodeClass};
 pub use pretty::disassemble;
 pub use reg::{ArchReg, RegSet, RegSetIter, MAX_ARCH_REGS};

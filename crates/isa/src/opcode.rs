@@ -4,32 +4,6 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// Memory spaces addressable by load/store instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MemorySpace {
-    /// Off-chip global memory, backed by the L1D/L2/DRAM hierarchy.
-    Global,
-    /// On-chip software-managed shared memory (fixed low latency).
-    Shared,
-    /// Read-only constant memory (cached, usually hits).
-    Constant,
-    /// Per-thread local memory (register spills), backed by the same
-    /// hierarchy as global memory.
-    Local,
-}
-
-impl fmt::Display for MemorySpace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            MemorySpace::Global => "global",
-            MemorySpace::Shared => "shared",
-            MemorySpace::Constant => "const",
-            MemorySpace::Local => "local",
-        };
-        f.write_str(s)
-    }
-}
-
 /// Instruction opcodes of the synthetic ISA.
 ///
 /// The set is deliberately small: it contains exactly the operation classes
@@ -88,7 +62,7 @@ pub enum OpcodeClass {
     FpAlu,
     /// Special-function unit operations.
     Sfu,
-    /// Memory load (space given by [`Opcode::memory_space`]).
+    /// Memory load.
     Load,
     /// Memory store.
     Store,
@@ -116,37 +90,6 @@ impl Opcode {
         }
     }
 
-    /// Returns the memory space accessed by this opcode, if it is a memory
-    /// operation.
-    #[must_use]
-    pub const fn memory_space(self) -> Option<MemorySpace> {
-        match self {
-            Opcode::LoadGlobal | Opcode::StoreGlobal => Some(MemorySpace::Global),
-            Opcode::LoadShared | Opcode::StoreShared => Some(MemorySpace::Shared),
-            Opcode::LoadConst => Some(MemorySpace::Constant),
-            Opcode::LoadLocal | Opcode::StoreLocal => Some(MemorySpace::Local),
-            _ => None,
-        }
-    }
-
-    /// Returns `true` if this opcode reads or writes memory.
-    #[must_use]
-    pub const fn is_memory(self) -> bool {
-        self.memory_space().is_some()
-    }
-
-    /// Returns `true` if this opcode is a load.
-    #[must_use]
-    pub const fn is_load(self) -> bool {
-        matches!(self.class(), OpcodeClass::Load)
-    }
-
-    /// Returns `true` if this opcode is a store.
-    #[must_use]
-    pub const fn is_store(self) -> bool {
-        matches!(self.class(), OpcodeClass::Store)
-    }
-
     /// Returns `true` if this opcode can stall a warp for a long, variable
     /// time (global/local memory accesses and barriers).
     ///
@@ -166,7 +109,7 @@ impl Opcode {
 
     /// Returns the mnemonic used by the disassembler.
     #[must_use]
-    pub const fn mnemonic(self) -> &'static str {
+    pub(crate) const fn mnemonic(self) -> &'static str {
         match self {
             Opcode::IAlu => "iadd",
             Opcode::IMul => "imul",
@@ -224,28 +167,14 @@ mod tests {
     #[test]
     fn class_covers_all_opcodes() {
         for &op in Opcode::all() {
-            // Must not panic and must be consistent with memory_space.
-            let class = op.class();
-            match class {
-                OpcodeClass::Load => assert!(op.is_load() && op.is_memory()),
-                OpcodeClass::Store => assert!(op.is_store() && op.is_memory()),
-                _ => assert!(!op.is_memory() || op.memory_space().is_some()),
-            }
+            // Loads and stores are exactly the `ld.`/`st.` mnemonics.
+            let mnemonic = op.mnemonic();
+            assert_eq!(op.class() == OpcodeClass::Load, mnemonic.starts_with("ld."));
+            assert_eq!(
+                op.class() == OpcodeClass::Store,
+                mnemonic.starts_with("st.")
+            );
         }
-    }
-
-    #[test]
-    fn memory_spaces() {
-        assert_eq!(Opcode::LoadGlobal.memory_space(), Some(MemorySpace::Global));
-        assert_eq!(
-            Opcode::StoreShared.memory_space(),
-            Some(MemorySpace::Shared)
-        );
-        assert_eq!(
-            Opcode::LoadConst.memory_space(),
-            Some(MemorySpace::Constant)
-        );
-        assert_eq!(Opcode::FAlu.memory_space(), None);
     }
 
     #[test]
@@ -263,11 +192,5 @@ mod tests {
             assert!(seen.insert(op.mnemonic()), "duplicate mnemonic {op}");
             assert_eq!(op.to_string(), op.mnemonic());
         }
-    }
-
-    #[test]
-    fn display_memory_space() {
-        assert_eq!(MemorySpace::Global.to_string(), "global");
-        assert_eq!(MemorySpace::Local.to_string(), "local");
     }
 }

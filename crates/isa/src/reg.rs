@@ -36,12 +36,6 @@ impl ArchReg {
     pub const fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Returns the raw register number.
-    #[must_use]
-    pub const fn number(self) -> u8 {
-        self.0
-    }
 }
 
 impl fmt::Display for ArchReg {
@@ -91,21 +85,6 @@ impl RegSet {
     #[must_use]
     pub const fn new() -> Self {
         RegSet { words: [0; WORDS] }
-    }
-
-    /// Creates a set containing registers `r0..rn` (exclusive upper bound).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 256`.
-    #[must_use]
-    pub fn first_n(n: usize) -> Self {
-        assert!(n <= MAX_ARCH_REGS, "register count {n} exceeds 256");
-        let mut set = RegSet::new();
-        for i in 0..n {
-            set.insert(ArchReg::new(i as u8));
-        }
-        set
     }
 
     /// Returns `true` if the set contains no registers.
@@ -354,7 +333,7 @@ mod tests {
         let r = ArchReg::new(42);
         assert_eq!(r.to_string(), "r42");
         assert_eq!(r.index(), 42);
-        assert_eq!(r.number(), 42);
+        assert_eq!(r.index(), 42);
         assert_eq!(ArchReg::from(7u8), ArchReg::new(7));
     }
 
@@ -379,20 +358,6 @@ mod tests {
         assert!(s.remove(ArchReg::new(0)));
         assert!(!s.remove(ArchReg::new(0)));
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn first_n_contains_prefix() {
-        let s = RegSet::first_n(10);
-        assert_eq!(s.len(), 10);
-        assert!(s.contains(ArchReg::new(9)));
-        assert!(!s.contains(ArchReg::new(10)));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds 256")]
-    fn first_n_rejects_overflow() {
-        let _ = RegSet::first_n(257);
     }
 
     #[test]

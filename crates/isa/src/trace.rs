@@ -64,7 +64,7 @@ impl BranchRng {
     }
 
     /// Returns the next pseudo-random 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         // xorshift64*
         let mut x = self.state;
         x ^= x >> 12;
@@ -103,7 +103,7 @@ pub struct TraceWalker<'k> {
 
 impl<'k> TraceWalker<'k> {
     /// Default cap on the number of dynamic instructions walked.
-    pub const DEFAULT_MAX_DYNAMIC_INSTRUCTIONS: u64 = 5_000_000;
+    pub(crate) const DEFAULT_MAX_DYNAMIC_INSTRUCTIONS: u64 = 5_000_000;
 
     /// Creates a walker over `kernel` with the given branch-resolution seed.
     #[must_use]
@@ -183,20 +183,6 @@ impl<'k> TraceWalker<'k> {
                 }
             }
         }
-    }
-
-    /// Convenience wrapper: collects the sequence of executed block ids.
-    #[must_use]
-    pub fn block_sequence(self) -> Vec<BlockId> {
-        let mut blocks = Vec::new();
-        let mut last: Option<BlockId> = None;
-        self.walk(|e| {
-            if last != Some(e.block) {
-                blocks.push(e.block);
-                last = Some(e.block);
-            }
-        });
-        blocks
     }
 }
 
@@ -295,9 +281,12 @@ mod tests {
         b.branch(back, a, c, BranchBehavior::balanced());
         b.exit(exit);
         let k = b.build().unwrap();
-        let s1 = TraceWalker::new(&k, 42).block_sequence();
-        let s2 = TraceWalker::new(&k, 42).block_sequence();
-        assert_eq!(s1, s2, "same seed, same path");
+        let path = |seed| {
+            let mut blocks = Vec::new();
+            TraceWalker::new(&k, seed).walk(|entry| blocks.push(entry.block));
+            blocks
+        };
+        assert_eq!(path(42), path(42), "same seed, same path");
     }
 
     #[test]
@@ -326,14 +315,5 @@ mod tests {
             .with_max_instructions(1000)
             .walk(|_| {});
         assert_eq!(stats.dynamic_instructions, 1000);
-    }
-
-    #[test]
-    fn block_sequence_compresses_consecutive_instructions() {
-        let k = loop_kernel(2, 2);
-        let seq = TraceWalker::new(&k, 1).block_sequence();
-        // entry, then the body block; consecutive loop iterations of the same
-        // block are collapsed, and the empty exit block is never recorded.
-        assert_eq!(seq.len(), 2);
     }
 }

@@ -242,7 +242,7 @@ impl SmConfig {
     /// simultaneously, limited by the register file capacity (the occupancy
     /// calculation behind Table 1 and Figure 3).
     #[must_use]
-    pub fn resident_warps(&self, regs_per_thread: u16) -> usize {
+    pub(crate) fn resident_warps(&self, regs_per_thread: u16) -> usize {
         let bytes_per_warp = regs_per_thread as u64 * 32 * 4;
         if bytes_per_warp == 0 {
             return self.max_warps;
@@ -318,13 +318,6 @@ impl GpuConfig {
         }
     }
 
-    /// Replaces the per-SM configuration.
-    #[must_use]
-    pub fn with_sm(mut self, sm: SmConfig) -> Self {
-        self.sm = sm;
-        self
-    }
-
     /// Replaces the SM↔L2 network configuration.
     #[must_use]
     pub fn with_interconnect(mut self, interconnect: InterconnectConfig) -> Self {
@@ -387,7 +380,10 @@ mod tests {
         let g = GpuConfig::default();
         assert_eq!(g.sm_count, 16);
         assert_eq!(g.l2.slices, 32);
-        let g4 = GpuConfig::with_sm_count(4).with_sm(SmConfig::default().with_active_warps(4));
+        let g4 = GpuConfig {
+            sm: SmConfig::default().with_active_warps(4),
+            ..GpuConfig::with_sm_count(4)
+        };
         assert_eq!(g4.sm_count, 4);
         assert_eq!(g4.sm.active_warps, 4);
         assert_eq!(GpuConfig::with_sm_count(0).sm_count, 1);

@@ -89,27 +89,6 @@ impl GpuStats {
         }
     }
 
-    /// Per-SM IPC over the whole-GPU cycle count, indexed by SM id.
-    #[must_use]
-    pub fn per_sm_ipc(&self) -> Vec<f64> {
-        self.per_sm
-            .iter()
-            .map(|sm| {
-                if self.cycles == 0 {
-                    0.0
-                } else {
-                    sm.instructions as f64 / self.cycles as f64
-                }
-            })
-            .collect()
-    }
-
-    /// Shared-L2 hit rate in `[0, 1]`.
-    #[must_use]
-    pub fn l2_hit_rate(&self) -> f64 {
-        self.l2.hit_rate()
-    }
-
     /// Collapses the run into one whole-GPU [`SimStats`]: instruction,
     /// warp, and register-file counters are summed across SMs (L1 and
     /// MSHR statistics too), the `llc`/`dram` fields carry the shared
@@ -605,6 +584,6 @@ mod tests {
             agg.warps_resident,
             gpu.per_sm.iter().map(|s| s.warps_resident).sum::<usize>()
         );
-        assert_eq!(gpu.per_sm_ipc().len(), 2);
+        assert_eq!(gpu.per_sm.len(), 2);
     }
 }

@@ -67,15 +67,9 @@ impl AddressDecoder {
         }
     }
 
-    /// Number of slices this decoder spreads addresses over.
-    #[must_use]
-    pub fn slices(&self) -> usize {
-        self.slices
-    }
-
     /// The slice index `line_addr` decodes to.
     #[must_use]
-    pub fn slice_of(&self, line_addr: u64) -> usize {
+    pub(crate) fn slice_of(&self, line_addr: u64) -> usize {
         let index = line_addr / self.line_bytes;
         let folded = match self.interleave {
             InterleaveMode::Line => index,

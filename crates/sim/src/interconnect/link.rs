@@ -55,7 +55,7 @@ impl Link {
     /// Pushes a message arriving at `arrive` that occupies the wire for
     /// `occupancy` cycles; returns when the transfer completed and how long
     /// the message waited.
-    pub fn transmit(&mut self, arrive: Cycle, occupancy: Cycle) -> Transfer {
+    pub(crate) fn transmit(&mut self, arrive: Cycle, occupancy: Cycle) -> Transfer {
         self.drain(arrive);
         let mut admitted = arrive;
         if self.inflight.len() >= self.depth {
@@ -79,7 +79,7 @@ impl Link {
 
     /// Peak number of messages simultaneously in flight on this link.
     #[must_use]
-    pub fn peak_occupancy(&self) -> u64 {
+    pub(crate) fn peak_occupancy(&self) -> u64 {
         self.peak_occupancy
     }
 

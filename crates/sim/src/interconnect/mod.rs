@@ -6,7 +6,7 @@
 //! the network. This module makes the network a first-class, sweepable
 //! subsystem:
 //!
-//! * [`AddressDecoder`] (in [`addrdec`]) decides which slice a line address
+//! * [`AddressDecoder`] (in `addrdec`) decides which slice a line address
 //!   belongs to, replacing the implicit modulo mapping;
 //! * [`Link`] (in [`link`]) is a bandwidth-limited wire with a bounded FIFO
 //!   queue and deterministic call-order arbitration;
@@ -31,7 +31,7 @@
 //! wakeups, so in-flight network occupancy bounds skip-ahead with no extra
 //! bookkeeping.
 
-pub mod addrdec;
+pub(crate) mod addrdec;
 pub mod link;
 pub mod topology;
 
@@ -129,7 +129,7 @@ impl InterconnectConfig {
 
     /// Cycles a cache line of `line_bytes` occupies one link.
     #[must_use]
-    pub fn serialization_cycles(&self, line_bytes: u64) -> Cycle {
+    pub(crate) fn serialization_cycles(&self, line_bytes: u64) -> Cycle {
         line_bytes.div_ceil(self.link_width.max(1)).max(1)
     }
 }
@@ -165,7 +165,7 @@ pub struct InterconnectStats {
 
 impl InterconnectStats {
     /// Folds one delivered message into the counters.
-    pub fn record(&mut self, latency: Cycle, queue_wait: Cycle) {
+    pub(crate) fn record(&mut self, latency: Cycle, queue_wait: Cycle) {
         self.messages += 1;
         self.total_latency += latency;
         self.max_latency = self.max_latency.max(latency);
@@ -209,7 +209,7 @@ pub trait Interconnect: std::fmt::Debug {
 /// Builds the configured network for `sm_count` SMs and `slices` L2 slices
 /// over `line_bytes`-byte messages.
 #[must_use]
-pub fn build_network(
+pub(crate) fn build_network(
     config: &InterconnectConfig,
     sm_count: usize,
     slices: usize,

@@ -22,10 +22,10 @@ use super::link::Link;
 use super::{Interconnect, InterconnectStats};
 
 /// Constant crossbar traversal latency (arbitration + wire), in cycles.
-pub const CROSSBAR_HOP_LATENCY: Cycle = 4;
+pub(crate) const CROSSBAR_HOP_LATENCY: Cycle = 4;
 
 /// Per-hop mesh router latency (route computation + switch), in cycles.
-pub const MESH_HOP_LATENCY: Cycle = 2;
+pub(crate) const MESH_HOP_LATENCY: Cycle = 2;
 
 /// Zero-latency, infinite-bandwidth transport. `route` is the identity on
 /// `arrive`, which makes the surrounding `SharedMemory` arithmetic exactly
@@ -114,7 +114,7 @@ impl Interconnect for Crossbar {
 /// them all: SM `i` at node `i`, slice `s` at node `sm_count + s`. A request
 /// walks east/west to the destination column, then north/south to the
 /// destination row, crossing one per-direction bounded link per hop and
-/// paying [`MESH_HOP_LATENCY`] router delay each time. XY routing is
+/// paying a `MESH_HOP_LATENCY` router delay each time. XY routing is
 /// deadlock-free and, with call-order link arbitration, fully deterministic.
 #[derive(Debug)]
 pub struct Mesh2D {
@@ -155,14 +155,6 @@ impl Mesh2D {
 
     fn coords(&self, node: usize) -> (usize, usize) {
         (node % self.side, node / self.side)
-    }
-
-    /// Manhattan hop count between an SM and a slice (exposed for tests).
-    #[must_use]
-    pub fn hops(&self, src_sm: usize, slice: usize) -> usize {
-        let (sx, sy) = self.coords(src_sm);
-        let (dx, dy) = self.coords(self.sm_count + slice);
-        sx.abs_diff(dx) + sy.abs_diff(dy)
     }
 
     fn traverse(&mut self, node: usize, dir: usize, at: Cycle) -> (Cycle, Cycle) {
@@ -263,14 +255,21 @@ mod tests {
         assert_eq!(net.stats().total_queue_wait, 0);
     }
 
+    /// Manhattan hop count between an SM and a slice.
+    fn hops(mesh: &Mesh2D, src_sm: usize, slice: usize) -> usize {
+        let (sx, sy) = mesh.coords(src_sm);
+        let (dx, dy) = mesh.coords(mesh.sm_count + slice);
+        sx.abs_diff(dx) + sy.abs_diff(dy)
+    }
+
     #[test]
     fn mesh_latency_grows_with_manhattan_distance() {
         let net_probe = Mesh2D::new(16, 32, 4, 8);
         // 16 SMs + 32 slices → 48 nodes → 7×7 grid.
         assert_eq!(net_probe.side, 7);
         let mut net = Mesh2D::new(16, 32, 4, 8);
-        let near_hops = net_probe.hops(15, 0); // SM node 15 → slice node 16: adjacent-ish
-        let far_hops = net_probe.hops(0, 31); // SM node 0 → slice node 47: corner to corner
+        let near_hops = hops(&net_probe, 15, 0); // SM node 15 → slice node 16: adjacent-ish
+        let far_hops = hops(&net_probe, 0, 31); // SM node 0 → slice node 47: corner to corner
         assert!(far_hops > near_hops);
         let near = net.route(15, 0, 0);
         let far = net.route(0, 31, 0);
@@ -290,7 +289,7 @@ mod tests {
         let a2 = net.route(1, 0, 0);
         assert!(a2 > a1, "same-edge messages serialize in call order");
         let b = net.route(0, 0, 0);
-        let reference = net.hops(0, 0) as u64 * (4 + MESH_HOP_LATENCY);
+        let reference = hops(&net, 0, 0) as u64 * (4 + MESH_HOP_LATENCY);
         assert!(b > reference, "queueing added latency beyond pure distance");
         assert!(net.stats().total_queue_wait > 0);
     }

@@ -94,7 +94,7 @@ impl AddressGenerator {
     /// through reuse and row/channel interleaving. With `first_warp == 0`
     /// and `total_warps == warps` this is exactly [`AddressGenerator::new`].
     #[must_use]
-    pub fn sharded(
+    pub(crate) fn sharded(
         behavior: MemoryBehavior,
         warps: usize,
         seed: u64,
@@ -130,7 +130,7 @@ impl AddressGenerator {
     /// # Panics
     ///
     /// Panics if `warp` is out of range.
-    pub fn next_address(&mut self, warp: WarpId) -> u64 {
+    pub(crate) fn next_address(&mut self, warp: WarpId) -> u64 {
         let idx = warp.index();
         let reuse = (self.next_rand() >> 11) as f64 / (1u64 << 53) as f64;
         if reuse < self.behavior.reuse_probability {

@@ -83,12 +83,6 @@ impl Cache {
         }
     }
 
-    /// Number of sets.
-    #[must_use]
-    pub fn sets(&self) -> usize {
-        self.sets
-    }
-
     /// Accesses `address`; returns whether it hit and updates LRU state.
     pub fn access(&mut self, address: u64) -> CacheOutcome {
         self.tick += 1;
@@ -123,7 +117,7 @@ impl Cache {
 
     /// Cumulative statistics.
     #[must_use]
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 }
@@ -160,7 +154,7 @@ mod tests {
         assert_eq!(c.access(128), CacheOutcome::Miss);
         assert_eq!(c.access(0), CacheOutcome::Hit);
         assert_eq!(c.access(128), CacheOutcome::Hit);
-        assert_eq!(c.sets(), 2);
+        assert_eq!(c.sets, 2);
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl Dram {
 
     /// Cumulative statistics.
     #[must_use]
-    pub fn stats(&self) -> DramStats {
+    pub(crate) fn stats(&self) -> DramStats {
         self.stats
     }
 }

@@ -7,7 +7,7 @@
 //!   to the one simulated SM. This is the configuration every single-SM
 //!   campaign runs and models the L2 with *unlimited* bandwidth (optimistic
 //!   when many SMs would really share it).
-//! * **Shared** — [`MemoryHierarchy::shared_port`]: the L1 and MSHRs stay
+//! * **Shared** — `MemoryHierarchy::shared_port`: the L1 and MSHRs stay
 //!   private, but L2 and DRAM live in a [`SharedMemory`] that every SM's
 //!   port references. The shared L2 is sliced ([`L2Config`]) and each slice
 //!   serves one request per occupancy window, so concurrent request streams
@@ -134,25 +134,25 @@ impl SharedMemory {
 
     /// GPU-global L2 statistics.
     #[must_use]
-    pub fn llc_stats(&self) -> CacheStats {
+    pub(crate) fn llc_stats(&self) -> CacheStats {
         self.llc.stats()
     }
 
     /// GPU-global DRAM statistics.
     #[must_use]
-    pub fn dram_stats(&self) -> DramStats {
+    pub(crate) fn dram_stats(&self) -> DramStats {
         self.dram.stats()
     }
 
     /// Cycles requests spent queued behind busy L2 slices.
     #[must_use]
-    pub fn l2_queue_wait_cycles(&self) -> u64 {
+    pub(crate) fn l2_queue_wait_cycles(&self) -> u64 {
         self.l2_queue_wait_cycles
     }
 
     /// Queue-wait cycles of the least and most loaded L2 slices.
     #[must_use]
-    pub fn slice_wait_bounds(&self) -> (u64, u64) {
+    pub(crate) fn slice_wait_bounds(&self) -> (u64, u64) {
         let min = self.slice_wait_cycles.iter().copied().min().unwrap_or(0);
         let max = self.slice_wait_cycles.iter().copied().max().unwrap_or(0);
         (min, max)
@@ -160,7 +160,7 @@ impl SharedMemory {
 
     /// GPU-global SM↔L2 network statistics.
     #[must_use]
-    pub fn noc_stats(&self) -> InterconnectStats {
+    pub(crate) fn noc_stats(&self) -> InterconnectStats {
         self.network.stats()
     }
 }
@@ -223,7 +223,7 @@ impl MemoryHierarchy {
     /// MSHRs in front of `shared`. The index is the port's source address in
     /// the SM↔L2 network.
     #[must_use]
-    pub fn shared_port(
+    pub(crate) fn shared_port(
         config: &MemoryConfig,
         shared: Rc<RefCell<SharedMemory>>,
         sm_index: usize,
@@ -244,7 +244,7 @@ impl MemoryHierarchy {
     ///
     /// Retiring is destructive: every request completed by `now` leaves the
     /// MSHRs for good, even if a later call asks about an earlier cycle.
-    pub fn can_accept(&mut self, now: Cycle) -> bool {
+    pub(crate) fn can_accept(&mut self, now: Cycle) -> bool {
         while self
             .outstanding
             .peek()
@@ -259,7 +259,7 @@ impl MemoryHierarchy {
     /// outstanding request: no request is accepted before it. `None` while
     /// a slot is free.
     #[must_use]
-    pub fn mshr_release(&self) -> Option<Cycle> {
+    pub(crate) fn mshr_release(&self) -> Option<Cycle> {
         if self.outstanding.len() < self.config.max_outstanding_requests {
             return None;
         }
@@ -271,7 +271,7 @@ impl MemoryHierarchy {
     ///
     /// Callers should check [`Self::can_accept`] first; a request issued
     /// while the MSHRs are full is still serviced but records a stall.
-    pub fn access_global(&mut self, address: u64, now: Cycle) -> Cycle {
+    pub(crate) fn access_global(&mut self, address: u64, now: Cycle) -> Cycle {
         if !self.can_accept(now) {
             self.stats_mshr_stalls += 1;
         }
@@ -309,7 +309,7 @@ impl MemoryHierarchy {
     /// Cumulative statistics. For a shared port the `llc`/`dram` fields are
     /// the GPU-global totals of the shared structures.
     #[must_use]
-    pub fn stats(&self) -> MemoryStats {
+    pub(crate) fn stats(&self) -> MemoryStats {
         let (llc, dram, l2_queue_wait_cycles, (slice_min, slice_max), noc) = match &self.backend {
             Backend::Private(levels) => (
                 levels.llc.stats(),

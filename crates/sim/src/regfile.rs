@@ -78,7 +78,6 @@ pub trait RegisterFileModel {
 /// register-file model used by simulator self-tests.
 #[derive(Debug)]
 pub struct DirectRegisterFile {
-    timing: RegFileTiming,
     banks: BankArbiter,
     counts: AccessCounts,
 }
@@ -90,15 +89,8 @@ impl DirectRegisterFile {
     pub fn new(timing: RegFileTiming) -> Self {
         DirectRegisterFile {
             banks: BankArbiter::new(timing.mrf_banks, timing.mrf_latency()),
-            timing,
             counts: AccessCounts::default(),
         }
-    }
-
-    /// Returns the timing parameters this model was built with.
-    #[must_use]
-    pub fn timing(&self) -> &RegFileTiming {
-        &self.timing
     }
 }
 
@@ -219,7 +211,6 @@ mod tests {
         let mut rf = DirectRegisterFile::new(timing);
         let ready = rf.read_operands(WarpId(0), &regs(&[0]), 0);
         assert_eq!(ready, 13);
-        assert_eq!(rf.timing().mrf_latency(), 13);
     }
 
     #[test]

@@ -57,19 +57,14 @@ impl BankArbiter {
 
     /// Number of banks.
     #[must_use]
-    pub fn bank_count(&self) -> usize {
+    pub(crate) fn bank_count(&self) -> usize {
         self.next_free.len()
     }
 
     /// Access latency of one bank access, in cycles.
     #[must_use]
-    pub const fn access_latency(&self) -> Cycle {
+    pub(crate) const fn access_latency(&self) -> Cycle {
         self.access_latency
-    }
-
-    /// Changes the per-access latency (used by latency-sweep experiments).
-    pub fn set_access_latency(&mut self, latency: Cycle) {
-        self.access_latency = latency;
     }
 
     /// Schedules a single access to `bank` that is requested at `now`.
@@ -91,17 +86,16 @@ impl BankArbiter {
     /// returns the cycle at which the *last* of them completes. This is the
     /// operand-collector pattern: an instruction is ready only when all of
     /// its source operands have been gathered.
-    pub fn access_all(&mut self, banks: impl IntoIterator<Item = usize>, now: Cycle) -> Cycle {
+    pub(crate) fn access_all(
+        &mut self,
+        banks: impl IntoIterator<Item = usize>,
+        now: Cycle,
+    ) -> Cycle {
         let mut ready = now;
         for bank in banks {
             ready = ready.max(self.access(bank, now));
         }
         ready
-    }
-
-    /// Resets all banks to idle.
-    pub fn reset(&mut self) {
-        self.next_free.iter_mut().for_each(|c| *c = 0);
     }
 }
 
@@ -136,20 +130,10 @@ mod tests {
     #[test]
     fn access_all_reports_worst_case() {
         let mut arb = BankArbiter::new(2, 2);
+        assert_eq!((arb.bank_count(), arb.access_latency()), (2, 2));
         // Three accesses over two banks: bank 0 twice, bank 1 once.
         let ready = arb.access_all([0, 0, 1], 0);
         assert_eq!(ready, 4);
-    }
-
-    #[test]
-    fn reset_and_latency_update() {
-        let mut arb = BankArbiter::new(1, 5);
-        let _ = arb.access(0, 0);
-        arb.reset();
-        arb.set_access_latency(1);
-        assert_eq!(arb.access(0, 0), 1);
-        assert_eq!(arb.access_latency(), 1);
-        assert_eq!(arb.bank_count(), 1);
     }
 
     #[test]

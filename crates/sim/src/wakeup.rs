@@ -48,7 +48,7 @@ impl WakeupQueue {
     /// Creates an empty queue with room for `capacity` warps, so steady-state
     /// operation never reallocates.
     #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         WakeupQueue {
             future: BinaryHeap::with_capacity(capacity),
             eligible: BinaryHeap::with_capacity(capacity),

@@ -59,16 +59,10 @@ impl WarpContext {
         }
     }
 
-    /// Returns `true` if the warp has finished the kernel.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        matches!(self.status, WarpStatus::Finished)
-    }
-
     /// Returns `true` if every source and the destination of the instruction
     /// are free of pending writes at `now` (RAW/WAW check), dropping
     /// completed entries as a side effect.
-    pub fn scoreboard_ready(
+    pub(crate) fn scoreboard_ready(
         &mut self,
         reads: &ltrf_isa::RegSet,
         dst: Option<ArchReg>,
@@ -91,7 +85,11 @@ impl WarpContext {
     /// Earliest cycle at which all scoreboard hazards for the instruction
     /// clear (used to fast-forward idle cycles).
     #[must_use]
-    pub fn scoreboard_ready_at(&self, reads: &ltrf_isa::RegSet, dst: Option<ArchReg>) -> Cycle {
+    pub(crate) fn scoreboard_ready_at(
+        &self,
+        reads: &ltrf_isa::RegSet,
+        dst: Option<ArchReg>,
+    ) -> Cycle {
         let mut ready = 0;
         for (&reg, &cycle) in &self.pending_writes {
             if reads.contains(reg) || dst == Some(reg) {
@@ -102,15 +100,9 @@ impl WarpContext {
     }
 
     /// Records a pending write of `reg` completing at `ready`.
-    pub fn record_pending_write(&mut self, reg: ArchReg, ready: Cycle) {
+    pub(crate) fn record_pending_write(&mut self, reg: ArchReg, ready: Cycle) {
         let entry = self.pending_writes.entry(reg).or_insert(ready);
         *entry = (*entry).max(ready);
-    }
-
-    /// Number of writes still in flight at `now`.
-    #[must_use]
-    pub fn pending_write_count(&self, now: Cycle) -> usize {
-        self.pending_writes.values().filter(|&&c| c > now).count()
     }
 
     /// Advances control flow past the current block's terminator. Returns the
@@ -120,7 +112,7 @@ impl WarpContext {
     ///
     /// Panics if the current block has no terminator (kernels are validated,
     /// so this indicates a simulator bug).
-    pub fn take_branch(&mut self, kernel: &Kernel) -> Option<BlockId> {
+    pub(crate) fn take_branch(&mut self, kernel: &Kernel) -> Option<BlockId> {
         let block = kernel.cfg.block(self.block);
         match *block.terminator().expect("validated kernel") {
             Terminator::Exit => None,
@@ -168,7 +160,6 @@ mod tests {
         assert_eq!(w.block, k.cfg.entry());
         assert_eq!(w.pc, 0);
         assert_eq!(w.status, WarpStatus::Pending);
-        assert!(!w.is_finished());
     }
 
     #[test]
@@ -192,8 +183,8 @@ mod tests {
         w.record_pending_write(ArchReg::new(2), 60);
         assert!(!w.scoreboard_ready(&RegSet::new(), Some(ArchReg::new(2)), 10));
         assert!(w.scoreboard_ready(&RegSet::new(), Some(ArchReg::new(3)), 10));
-        assert_eq!(w.pending_write_count(10), 1);
-        assert_eq!(w.pending_write_count(61), 0);
+        assert!(w.scoreboard_ready(&RegSet::new(), Some(ArchReg::new(2)), 60));
+        assert!(w.pending_writes.is_empty(), "the retired write is dropped");
     }
 
     #[test]

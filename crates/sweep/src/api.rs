@@ -5,19 +5,18 @@
 //!
 //! * a [`Campaign`] carries the name/aliases, a one-line summary, the
 //!   [`ArtifactKind`], the accepted [`ParamSpec`] schema (types, defaults,
-//!   scope hints), the canonical spec constructor (delegating to
-//!   [`crate::campaigns`]), and the summary renderer;
+//!   scope hints), the campaign's one spec constructor, and the summary
+//!   renderer;
 //! * the [`CampaignRegistry`] (see [`registry`]) holds exactly one entry per
-//!   paper artifact — the analytical ones (see [`crate::analytical`]) build
-//!   no specs and only render — plus the `repro` meta-campaign and the
-//!   beyond-paper studies;
+//!   paper artifact — the analytical ones build no specs and only render —
+//!   plus the `repro` meta-campaign and the beyond-paper studies;
 //! * the `sweep` CLI *generates* its subcommand dispatch, `--help` text, and
 //!   flag cross-rejection from the registry (including `sweep list` /
 //!   `sweep describe`), and the registry tests assert the set matches the
 //!   `REPRODUCING.md` artifact atlas — so the surfaces cannot drift.
 //!
-//! Execution is the session-based API of [`crate::executor`]: build the
-//! specs from a [`CampaignParams`], run each through a
+//! Execution is session-based: build the specs from a [`CampaignParams`],
+//! run each through a
 //! [`CampaignSession`](crate::CampaignSession), and observe the typed
 //! [`CampaignEvent`](crate::CampaignEvent) stream.
 //!
@@ -63,16 +62,15 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use ltrf_core::Organization;
+use ltrf_sim::{InterconnectConfig, Topology};
 use ltrf_tech::configs::RegFileConfig;
 use ltrf_tech::PowerParams;
 use ltrf_workloads::{GeneratorConfig, QUICK_SUBSET};
 
-use ltrf_sim::Topology;
-
 use crate::analytical;
 use crate::campaigns::{
-    self, GenCampaignParams, InterconnectCampaignParams, TraceCampaignParams, FIG11_ORGS,
-    FIG9_ORGS, GEN_CAMPAIGN_ORGS, POWER_ORGS,
+    self, FIG11_ORGS, FIG9_ORGS, GPU_SCALE_SM_COUNTS, HEADLINE_ORGS, INTERCONNECT_SM_COUNTS,
+    INTERCONNECT_TOPOLOGIES, POWER_ORGS,
 };
 use crate::executor::{PointRecord, SweepResults};
 use crate::spec::{SeedMode, SweepSpec};
@@ -101,7 +99,8 @@ pub struct CampaignParams {
     /// SM count of single-count campaigns (`None` = 1, the classic
     /// single-SM configuration).
     pub sm_count: Option<usize>,
-    /// The SM-count axis of `gpu-scale` (`None` = 1,2,4,8).
+    /// The SM-count axis of `gpu-scale` and `interconnect` (`None` = the
+    /// campaign's own axis).
     pub sm_counts: Option<Vec<usize>>,
     /// Population size of `gen-campaign` (`None` = 64).
     pub population: Option<usize>,
@@ -128,7 +127,7 @@ pub struct CampaignParams {
     /// See [`CampaignParams::access_energy_pj`].
     pub dwm_write_penalty: Option<f64>,
     /// Trace files of `trace-campaign`, in axis order (empty = the three
-    /// checked-in example traces under `examples/traces/`).
+    /// example traces under `examples/traces/`).
     pub trace_paths: Vec<String>,
     /// The single topology `interconnect` sweeps (`None` = the default
     /// ideal-vs-crossbar comparison).
@@ -142,16 +141,20 @@ pub struct CampaignParams {
 }
 
 impl CampaignParams {
+    /// The population size of `gen-campaign` when `--population` is not
+    /// given.
+    const DEFAULT_POPULATION: usize = 64;
+
     /// The selected workload names: the `--quick` subset or the full
     /// evaluated suite.
     #[must_use]
-    pub fn workload_names(&self) -> Vec<String> {
+    pub(crate) fn workload_names(&self) -> Vec<String> {
         if self.quick {
             QUICK_SUBSET.iter().map(|w| (*w).to_string()).collect()
         } else {
-            ltrf_workloads::evaluated_suite()
+            ltrf_workloads::evaluated_specs()
                 .iter()
-                .map(|w| w.name().to_string())
+                .map(|w| w.name.to_string())
                 .collect()
         }
     }
@@ -169,14 +172,14 @@ impl CampaignParams {
 
     /// The `--sm-count` value for a single-count campaign (default 1).
     #[must_use]
-    pub fn single_sm_count(&self) -> usize {
+    pub(crate) fn single_sm_count(&self) -> usize {
         self.sm_count.unwrap_or(1)
     }
 
-    /// The `--sm-counts` axis for `gpu-scale` (default 1,2,4,8).
+    /// The `--sm-counts` axis, or the campaign's own `default` axis.
     #[must_use]
-    pub fn sm_count_axis(&self) -> Vec<usize> {
-        self.sm_counts.clone().unwrap_or_else(|| vec![1, 2, 4, 8])
+    pub(crate) fn sm_count_axis(&self, default: &[usize]) -> Vec<usize> {
+        self.sm_counts.clone().unwrap_or_else(|| default.to_vec())
     }
 
     /// Assembles the power-model calibration from the overrides, with
@@ -186,7 +189,7 @@ impl CampaignParams {
     /// # Errors
     ///
     /// Returns the validation complaint, translated to CLI flag names.
-    pub fn power_params(&self) -> Result<PowerParams, String> {
+    pub(crate) fn power_params(&self) -> Result<PowerParams, String> {
         let defaults = PowerParams::default();
         let params = PowerParams {
             base_access_pj: self.access_energy_pj.unwrap_or(defaults.base_access_pj),
@@ -206,15 +209,21 @@ impl CampaignParams {
         Ok(params)
     }
 
-    /// Assembles the generator bounds from the overrides, with friendly
-    /// errors instead of the library's campaign-definition panics.
+    /// The generated population of `gen-campaign`: its size (default 64),
+    /// its seed (default the campaign seed) and the generator bounds, with
+    /// friendly errors instead of the library's campaign-definition panics.
     ///
     /// # Errors
     ///
-    /// Returns the validation complaint.
-    pub fn generator_config(&self) -> Result<GeneratorConfig, String> {
+    /// Returns a friendly message for an empty population or degenerate
+    /// generator bounds.
+    pub fn gen_params(&self) -> Result<(usize, u64, GeneratorConfig), String> {
+        let population = self.population.unwrap_or(Self::DEFAULT_POPULATION);
+        if population == 0 {
+            return Err("--population must be at least 1".to_string());
+        }
         let defaults = GeneratorConfig::default();
-        let config = GeneratorConfig {
+        let bounds = GeneratorConfig {
             min_regs: self.min_regs.unwrap_or(defaults.min_regs),
             max_regs: self.max_regs.unwrap_or(defaults.max_regs),
             max_outer_trips: self.max_outer_trips.unwrap_or(defaults.max_outer_trips),
@@ -222,94 +231,31 @@ impl CampaignParams {
             max_body_alu: self.max_body_alu.unwrap_or(defaults.max_body_alu),
             max_body_loads: self.max_body_loads.unwrap_or(defaults.max_body_loads),
         };
-        config
+        bounds
             .validate()
             .map_err(|complaint| format!("generator bounds: {complaint}"))?;
-        Ok(config)
+        let seed = self.population_seed.unwrap_or(CAMPAIGN_SEED);
+        Ok((population, seed, bounds))
     }
 
-    /// Assembles the full generated-campaign parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a friendly message for an empty population or degenerate
-    /// generator bounds.
-    pub fn gen_params(&self) -> Result<GenCampaignParams, String> {
-        let population = self.population.unwrap_or(64);
-        if population == 0 {
-            return Err("--population must be at least 1".to_string());
-        }
-        Ok(GenCampaignParams {
-            population,
-            population_seed: self.population_seed.unwrap_or(CAMPAIGN_SEED),
-            config: self.generator_config()?,
-            sm_count: self.single_sm_count(),
-            seed_mode: self.seed_mode(),
-        })
-    }
-
-    /// Assembles the interconnect-campaign parameters: one topology from
-    /// `--topology` (default ideal + crossbar), the link provisioning
-    /// knobs, and the contention-reaching SM-count axis (`--sm-counts`,
-    /// default 1,4,16).
+    /// The topologies `interconnect` sweeps: the `--topology` one, or the
+    /// default ideal-vs-crossbar comparison.
     #[must_use]
-    pub fn interconnect_params(&self) -> InterconnectCampaignParams {
-        let defaults = InterconnectCampaignParams::default();
-        InterconnectCampaignParams {
-            topologies: match self.topology {
-                Some(topology) => vec![topology],
-                None => defaults.topologies,
-            },
-            link_width: self.link_width.unwrap_or(defaults.link_width).max(1),
-            queue_depth: self.queue_depth.unwrap_or(defaults.queue_depth).max(1),
-            sm_counts: self.sm_counts.clone().unwrap_or(defaults.sm_counts),
-            seed_mode: self.seed_mode(),
-        }
+    pub(crate) fn topologies(&self) -> Vec<Topology> {
+        self.topology
+            .map_or_else(|| INTERCONNECT_TOPOLOGIES.to_vec(), |t| vec![t])
     }
 
-    /// The default trace set of `trace-campaign` when no `--trace` is
-    /// given: the three checked-in example traces, relative to the
-    /// repository root.
-    pub const DEFAULT_TRACES: [&'static str; 3] = [
-        "examples/traces/straight_line.trace",
-        "examples/traces/divergent_loop.trace",
-        "examples/traces/high_register_pressure.trace",
-    ];
-
-    /// Assembles the full trace-campaign parameters: reads and fingerprints
-    /// every `--trace` file (or the [`CampaignParams::DEFAULT_TRACES`] when
-    /// none were given), with friendly per-file errors.
-    ///
-    /// # Errors
-    ///
-    /// Returns a `--trace`-named message for an unreadable or malformed
-    /// trace file.
-    pub fn trace_params(&self) -> Result<TraceCampaignParams, String> {
-        let paths: Vec<String> = if self.trace_paths.is_empty() {
-            Self::DEFAULT_TRACES
-                .iter()
-                .map(|p| (*p).to_string())
-                .collect()
-        } else {
-            self.trace_paths.clone()
-        };
-        let traces = paths
-            .iter()
-            .map(|path| {
-                let id = ltrf_trace::TraceWorkloadId::from_path(path)
-                    .map_err(|e| format!("--trace {path}: {e}"))?;
-                // Parse and lower once up front so a malformed trace is one
-                // friendly error here, not a per-point failure per config.
-                id.materialize()
-                    .map_err(|e| format!("--trace {path}: {e}"))?;
-                Ok(id)
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(TraceCampaignParams {
-            traces,
-            sm_count: self.single_sm_count(),
-            seed_mode: self.seed_mode(),
-        })
+    /// The SM↔L2 network of one swept topology: the default link
+    /// provisioning under the `--link-width`/`--queue-depth` overrides.
+    #[must_use]
+    pub(crate) fn network(&self, topology: Topology) -> InterconnectConfig {
+        let defaults = InterconnectConfig::with_topology(topology);
+        InterconnectConfig {
+            link_width: self.link_width.unwrap_or(defaults.link_width),
+            queue_depth: self.queue_depth.unwrap_or(defaults.queue_depth),
+            ..defaults
+        }
     }
 }
 
@@ -381,7 +327,7 @@ impl ParamSpec {
 
     /// The flag with its value placeholder, as shown in help text.
     #[must_use]
-    pub fn usage(&self) -> String {
+    pub(crate) fn usage(&self) -> String {
         match self.value_name {
             Some(value) => format!("{} {value}", self.flag),
             None => self.flag.to_string(),
@@ -409,11 +355,26 @@ where
         .map_err(|e| format!("{flag}: {e}"))
 }
 
+/// Parses a count that names no machine at zero (an SM count, a link
+/// width, a queue depth): zero is a flag-named error, not a silent 1.
+fn positive<T>(flag: &str, value: Option<&str>) -> Result<T, String>
+where
+    T: std::str::FromStr + Default + PartialEq,
+    T::Err: std::fmt::Display,
+{
+    let count: T = parsed(flag, value)?;
+    if count == T::default() {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(count)
+}
+
 /// The parameter vocabulary: one static [`ParamSpec`] per flag, referenced
-/// by every campaign that accepts it. Kept in a child module so front-ends
-/// (and the doctest above) can name individual specs.
+/// by every campaign that accepts it. Front ends look a spec up by its flag
+/// ([`CampaignRegistry::param`]); a campaign defined outside the crate (the
+/// doctest above) can name `--quick` directly.
 pub mod params {
-    use super::{parsed, ParamSpec, ParamType};
+    use super::{parsed, positive, ParamSpec, ParamType};
 
     /// `--quick`: the four-workload subset.
     pub static QUICK: ParamSpec = ParamSpec {
@@ -430,7 +391,7 @@ pub mod params {
     };
 
     /// `--per-point-seeds`: decorrelated per-point seeding.
-    pub static PER_POINT_SEEDS: ParamSpec = ParamSpec {
+    pub(crate) static PER_POINT_SEEDS: ParamSpec = ParamSpec {
         flag: "--per-point-seeds",
         value_name: None,
         ty: ParamType::Switch,
@@ -444,7 +405,7 @@ pub mod params {
     };
 
     /// `--sm-count N`: SMs per point for single-count campaigns.
-    pub static SM_COUNT: ParamSpec = ParamSpec {
+    pub(crate) static SM_COUNT: ParamSpec = ParamSpec {
         flag: "--sm-count",
         value_name: Some("N"),
         ty: ParamType::Int,
@@ -452,14 +413,14 @@ pub mod params {
         help: "simulate N SMs sharing the L2/DRAM",
         hint: "use --sm-counts A,B,.. for the gpu-scale axis",
         apply: |p, v| {
-            p.sm_count = Some(parsed::<usize>("--sm-count", v)?.max(1));
+            p.sm_count = Some(positive("--sm-count", v)?);
             Ok(())
         },
     };
 
     /// `--sm-counts A,B,..`: the SM-count axis of `gpu-scale` and
     /// `interconnect`.
-    pub static SM_COUNTS: ParamSpec = ParamSpec {
+    pub(crate) static SM_COUNTS: ParamSpec = ParamSpec {
         flag: "--sm-counts",
         value_name: Some("A,B,.."),
         ty: ParamType::IntList,
@@ -485,7 +446,7 @@ pub mod params {
     };
 
     /// `--population N`: population size of `gen-campaign`.
-    pub static POPULATION: ParamSpec = ParamSpec {
+    pub(crate) static POPULATION: ParamSpec = ParamSpec {
         flag: "--population",
         value_name: Some("N"),
         ty: ParamType::Int,
@@ -499,7 +460,7 @@ pub mod params {
     };
 
     /// `--seed S`: population seed of `gen-campaign`.
-    pub static SEED: ParamSpec = ParamSpec {
+    pub(crate) static SEED: ParamSpec = ParamSpec {
         flag: "--seed",
         value_name: Some("S"),
         ty: ParamType::Int,
@@ -513,7 +474,7 @@ pub mod params {
     };
 
     /// `--min-regs R`: generator lower register bound.
-    pub static MIN_REGS: ParamSpec = ParamSpec {
+    pub(crate) static MIN_REGS: ParamSpec = ParamSpec {
         flag: "--min-regs",
         value_name: Some("R"),
         ty: ParamType::Int,
@@ -527,7 +488,7 @@ pub mod params {
     };
 
     /// `--max-regs R`: generator upper register bound.
-    pub static MAX_REGS: ParamSpec = ParamSpec {
+    pub(crate) static MAX_REGS: ParamSpec = ParamSpec {
         flag: "--max-regs",
         value_name: Some("R"),
         ty: ParamType::Int,
@@ -541,7 +502,7 @@ pub mod params {
     };
 
     /// `--max-outer-trips N`: generator outer-loop trip bound.
-    pub static MAX_OUTER_TRIPS: ParamSpec = ParamSpec {
+    pub(crate) static MAX_OUTER_TRIPS: ParamSpec = ParamSpec {
         flag: "--max-outer-trips",
         value_name: Some("N"),
         ty: ParamType::Int,
@@ -555,7 +516,7 @@ pub mod params {
     };
 
     /// `--max-inner-trips N`: generator inner-loop trip bound.
-    pub static MAX_INNER_TRIPS: ParamSpec = ParamSpec {
+    pub(crate) static MAX_INNER_TRIPS: ParamSpec = ParamSpec {
         flag: "--max-inner-trips",
         value_name: Some("N"),
         ty: ParamType::Int,
@@ -569,7 +530,7 @@ pub mod params {
     };
 
     /// `--max-body-alu N`: generator loop-body ALU bound.
-    pub static MAX_BODY_ALU: ParamSpec = ParamSpec {
+    pub(crate) static MAX_BODY_ALU: ParamSpec = ParamSpec {
         flag: "--max-body-alu",
         value_name: Some("N"),
         ty: ParamType::Int,
@@ -583,7 +544,7 @@ pub mod params {
     };
 
     /// `--max-body-loads N`: generator loop-body load bound.
-    pub static MAX_BODY_LOADS: ParamSpec = ParamSpec {
+    pub(crate) static MAX_BODY_LOADS: ParamSpec = ParamSpec {
         flag: "--max-body-loads",
         value_name: Some("N"),
         ty: ParamType::Int,
@@ -597,7 +558,7 @@ pub mod params {
     };
 
     /// `--access-energy-pj E`: power-model dynamic-energy anchor.
-    pub static ACCESS_ENERGY_PJ: ParamSpec = ParamSpec {
+    pub(crate) static ACCESS_ENERGY_PJ: ParamSpec = ParamSpec {
         flag: "--access-energy-pj",
         value_name: Some("E"),
         ty: ParamType::Float,
@@ -611,7 +572,7 @@ pub mod params {
     };
 
     /// `--leakage-mw-per-kb L`: power-model static-power anchor.
-    pub static LEAKAGE_MW_PER_KB: ParamSpec = ParamSpec {
+    pub(crate) static LEAKAGE_MW_PER_KB: ParamSpec = ParamSpec {
         flag: "--leakage-mw-per-kb",
         value_name: Some("L"),
         ty: ParamType::Float,
@@ -625,7 +586,7 @@ pub mod params {
     };
 
     /// `--trace PATH`: a trace file of `trace-campaign`; repeatable.
-    pub static TRACE: ParamSpec = ParamSpec {
+    pub(crate) static TRACE: ParamSpec = ParamSpec {
         flag: "--trace",
         value_name: Some("PATH"),
         ty: ParamType::Path,
@@ -640,7 +601,7 @@ pub mod params {
     };
 
     /// `--topology T`: the single topology `interconnect` sweeps.
-    pub static TOPOLOGY: ParamSpec = ParamSpec {
+    pub(crate) static TOPOLOGY: ParamSpec = ParamSpec {
         flag: "--topology",
         value_name: Some("T"),
         ty: ParamType::Word,
@@ -654,7 +615,7 @@ pub mod params {
     };
 
     /// `--link-width B`: network link width in bytes per cycle.
-    pub static LINK_WIDTH: ParamSpec = ParamSpec {
+    pub(crate) static LINK_WIDTH: ParamSpec = ParamSpec {
         flag: "--link-width",
         value_name: Some("B"),
         ty: ParamType::Int,
@@ -662,13 +623,13 @@ pub mod params {
         help: "network link width in bytes per cycle (non-ideal topologies)",
         hint: "it provisions the SM<->L2 network (use `sweep interconnect`)",
         apply: |p, v| {
-            p.link_width = Some(parsed::<u64>("--link-width", v)?.max(1));
+            p.link_width = Some(positive("--link-width", v)?);
             Ok(())
         },
     };
 
     /// `--queue-depth N`: bounded per-link queue depth.
-    pub static QUEUE_DEPTH: ParamSpec = ParamSpec {
+    pub(crate) static QUEUE_DEPTH: ParamSpec = ParamSpec {
         flag: "--queue-depth",
         value_name: Some("N"),
         ty: ParamType::Int,
@@ -676,13 +637,13 @@ pub mod params {
         help: "bounded per-link queue depth (non-ideal topologies)",
         hint: "it provisions the SM<->L2 network (use `sweep interconnect`)",
         apply: |p, v| {
-            p.queue_depth = Some(parsed::<usize>("--queue-depth", v)?.max(1));
+            p.queue_depth = Some(positive("--queue-depth", v)?);
             Ok(())
         },
     };
 
     /// `--dwm-write-penalty P`: DWM write/read energy ratio.
-    pub static DWM_WRITE_PENALTY: ParamSpec = ParamSpec {
+    pub(crate) static DWM_WRITE_PENALTY: ParamSpec = ParamSpec {
         flag: "--dwm-write-penalty",
         value_name: Some("P"),
         ty: ParamType::Float,
@@ -782,18 +743,13 @@ impl ArtifactKind {
 }
 
 /// Context handed to a campaign's preamble and summary renderer: the
-/// invocation's parameters, the report directory, and (after execution)
-/// the streaming aggregates.
+/// invocation's parameters and the report directory.
 #[derive(Debug, Clone, Copy)]
 pub struct RenderContext<'a> {
     /// The parameters the campaign was invoked with.
     pub params: &'a CampaignParams,
     /// The directory the CSV/JSON reports were (or will be) written to.
     pub out_dir: &'a Path,
-    /// The per-campaign running aggregates folded while the points
-    /// streamed, parallel to the renderer's `results` slice. Empty before
-    /// execution (preambles).
-    pub aggregates: &'a [RunningAggregates],
 }
 
 /// One registered campaign: everything a front-end needs to list it,
@@ -819,9 +775,8 @@ pub struct Campaign {
     /// parameters).
     pub params: &'static [&'static ParamSpec],
     /// The canonical spec constructor: one spec for ordinary campaigns,
-    /// several for meta-campaigns (`repro`). Delegates to
-    /// [`crate::campaigns`], so registry-driven and direct callers agree
-    /// byte for byte.
+    /// several for meta-campaigns (`repro`) and one per topology for
+    /// `interconnect`.
     pub build: fn(&CampaignParams) -> Result<Vec<SweepSpec>, String>,
     /// Text printed before execution (the Table 2 design-point listing,
     /// the power-calibration line), given the specs the invocation is
@@ -890,7 +845,7 @@ fn print_latency_series<K: PartialEq + Copy>(
     }
     println!();
     for (label, value) in series {
-        match crate::relative_ipc_series(results, &factors, |r| key(r) == value) {
+        match crate::executor::relative_ipc_series(results, &factors, |r| key(r) == value) {
             Some(means) => {
                 print!("  {label:<22}");
                 for mean in means {
@@ -1167,8 +1122,8 @@ fn render_repro(results: &[SweepResults], ctx: &RenderContext) -> Result<(), Str
     Ok(())
 }
 
-fn render_gpu_scale(_results: &[SweepResults], ctx: &RenderContext) -> Result<(), String> {
-    let sm_counts = ctx.params.sm_count_axis();
+fn render_gpu_scale(results: &[SweepResults], ctx: &RenderContext) -> Result<(), String> {
+    let sm_counts = ctx.params.sm_count_axis(&GPU_SCALE_SM_COUNTS);
     println!(
         "\nGPU scaling on configuration #6 (grid weak-scaled with the SM count; \
          means over workloads):"
@@ -1178,7 +1133,7 @@ fn render_gpu_scale(_results: &[SweepResults], ctx: &RenderContext) -> Result<()
         "SMs", "org", "IPC", "IPC/SM", "norm", "L2 hit", "DRAM row-hit"
     );
     for (sm_count, org, means) in
-        ctx.aggregates[0].means(&sm_counts, &[Organization::Baseline, Organization::Ltrf])
+        RunningAggregates::from_results(&results[0]).means(&sm_counts, &HEADLINE_ORGS)
     {
         println!(
             "  {:<5} {:<6} {:>9.3} {:>9.3} {:>8.3} {:>8.1}% {:>11.1}%",
@@ -1195,21 +1150,19 @@ fn render_gpu_scale(_results: &[SweepResults], ctx: &RenderContext) -> Result<()
 }
 
 fn gen_campaign_preamble(_specs: &[SweepSpec], ctx: &RenderContext) -> String {
-    let Ok(params) = ctx.params.gen_params() else {
+    let Ok((population, seed, bounds)) = ctx.params.gen_params() else {
         // The build step already reported the friendly validation error.
         return String::new();
     };
     format!(
-        "generated campaign: population {} from seed {} (regs {}..={}, trips <=({}x{}), \
-         body <=({} alu, {} loads)), BL vs LTRF on configuration #6",
-        params.population,
-        params.population_seed,
-        params.config.min_regs,
-        params.config.max_regs,
-        params.config.max_outer_trips,
-        params.config.max_inner_trips,
-        params.config.max_body_alu,
-        params.config.max_body_loads
+        "generated campaign: population {population} from seed {seed} (regs {}..={}, \
+         trips <=({}x{}), body <=({} alu, {} loads)), BL vs LTRF on configuration #6",
+        bounds.min_regs,
+        bounds.max_regs,
+        bounds.max_outer_trips,
+        bounds.max_inner_trips,
+        bounds.max_body_alu,
+        bounds.max_body_loads
     )
 }
 
@@ -1221,7 +1174,7 @@ fn print_org_means(title: &str, aggregates: &RunningAggregates, ctx: &RenderCont
         "org", "points", "IPC", "norm", "L2 hit", "DRAM row-hit"
     );
     let sm_count = ctx.params.single_sm_count();
-    for (_, org, means) in aggregates.means(&[sm_count], &GEN_CAMPAIGN_ORGS) {
+    for (_, org, means) in aggregates.means(&[sm_count], &HEADLINE_ORGS) {
         println!(
             "  {:<6} {:>7} {:>9.3} {:>8.3} {:>8.1}% {:>11.1}%",
             org.label(),
@@ -1234,16 +1187,15 @@ fn print_org_means(title: &str, aggregates: &RunningAggregates, ctx: &RenderCont
     }
 }
 
-fn render_gen_campaign(_results: &[SweepResults], ctx: &RenderContext) -> Result<(), String> {
-    let aggregates = &ctx.aggregates[0];
+fn render_gen_campaign(results: &[SweepResults], ctx: &RenderContext) -> Result<(), String> {
+    let aggregates = RunningAggregates::from_results(&results[0]);
     print_org_means(
         "Population means (IPC normalized to baseline on the same member):",
-        aggregates,
+        &aggregates,
         ctx,
     );
     // Where LTRF wins and loses across the population (the tails are what a
-    // fixed 14-benchmark suite cannot show). The tail is folded online —
-    // the renderer never needs the member rows.
+    // fixed 14-benchmark suite cannot show).
     let tail = aggregates.ltrf_member_tail();
     if let (Some((best_index, best)), Some((worst_index, worst))) = (tail.best, tail.worst) {
         println!(
@@ -1255,16 +1207,19 @@ fn render_gen_campaign(_results: &[SweepResults], ctx: &RenderContext) -> Result
     Ok(())
 }
 
-fn trace_campaign_preamble(_specs: &[SweepSpec], ctx: &RenderContext) -> String {
-    let Ok(params) = ctx.params.trace_params() else {
-        // The build step already reported the friendly validation error.
-        return String::new();
-    };
+fn trace_campaign_preamble(specs: &[SweepSpec], _ctx: &RenderContext) -> String {
+    // One baseline point per entry of the trace axis, in axis order.
+    let traces: Vec<_> = specs[0]
+        .points
+        .iter()
+        .filter(|p| p.config.organization == HEADLINE_ORGS[0])
+        .filter_map(|p| p.trace.as_ref())
+        .collect();
     let mut out = format!(
         "trace campaign: {} trace workload(s), BL vs LTRF on configuration #6",
-        params.traces.len()
+        traces.len()
     );
-    for trace in &params.traces {
+    for trace in traces {
         out.push_str(&format!(
             "\n  {:<28} {} ({})",
             trace.workload_name(),
@@ -1275,16 +1230,15 @@ fn trace_campaign_preamble(_specs: &[SweepSpec], ctx: &RenderContext) -> String 
     out
 }
 
-fn render_trace_campaign(_results: &[SweepResults], ctx: &RenderContext) -> Result<(), String> {
-    let aggregates = &ctx.aggregates[0];
+fn render_trace_campaign(results: &[SweepResults], ctx: &RenderContext) -> Result<(), String> {
+    let aggregates = RunningAggregates::from_results(&results[0]);
     print_org_means(
         "Trace means (IPC normalized to baseline on the same trace):",
-        aggregates,
+        &aggregates,
         ctx,
     );
     // Per-trace LTRF outcomes: the whole point of ingesting real traces is
-    // seeing which ones LTRF helps. (One entry per trace — sorting this
-    // small list at render time keeps the fold itself bounded.)
+    // seeing which ones LTRF helps.
     let mut per_trace: Vec<(&str, f64)> = aggregates
         .ltrf_trace_norms()
         .iter()
@@ -1298,28 +1252,30 @@ fn render_trace_campaign(_results: &[SweepResults], ctx: &RenderContext) -> Resu
 }
 
 fn interconnect_preamble(specs: &[SweepSpec], ctx: &RenderContext) -> String {
-    let params = ctx.params.interconnect_params();
-    let topologies: Vec<&str> = params.topologies.iter().map(|t| t.label()).collect();
+    let topologies = ctx.params.topologies();
+    let labels: Vec<&str> = topologies.iter().map(|t| t.label()).collect();
+    let network = ctx.params.network(topologies[0]);
     format!(
         "interconnect campaign: {} ({} spec(s)), link width {} B/cycle, queue depth {}, \
          LTRF on configuration #6 across SMs {:?}",
-        topologies.join(" vs "),
+        labels.join(" vs "),
         specs.len(),
-        params.link_width,
-        params.queue_depth,
-        params.sm_counts
+        network.link_width,
+        network.queue_depth,
+        ctx.params.sm_count_axis(&INTERCONNECT_SM_COUNTS)
     )
 }
 
-fn render_interconnect(_results: &[SweepResults], ctx: &RenderContext) -> Result<(), String> {
-    let params = ctx.params.interconnect_params();
+fn render_interconnect(results: &[SweepResults], ctx: &RenderContext) -> Result<(), String> {
+    let sm_counts = ctx.params.sm_count_axis(&INTERCONNECT_SM_COUNTS);
     println!("\nNetwork contention by topology (means over workloads, LTRF on configuration #6):");
     println!(
         "  {:<10} {:<5} {:>9} {:>15} {:>13}",
         "topology", "SMs", "IPC", "L2 queue wait", "NoC latency"
     );
-    for (topology, aggregates) in params.topologies.iter().zip(ctx.aggregates) {
-        for (sm_count, _, means) in aggregates.means(&params.sm_counts, &[Organization::Ltrf]) {
+    for (topology, results) in ctx.params.topologies().iter().zip(results) {
+        let aggregates = RunningAggregates::from_results(results);
+        for (sm_count, _, means) in aggregates.means(&sm_counts, &[Organization::Ltrf]) {
             println!(
                 "  {:<10} {:<5} {:>9.3} {:>15.0} {:>13.2}",
                 topology.label(),
@@ -1357,13 +1313,7 @@ static CAMPAIGNS: [Campaign; 17] = [
         summary: "six organizations x suite on configurations #6/#7 (fig3 = Ideal/BL on #6)",
         artifacts: "fig9.{csv,json} (fig9-smN for multi-SM runs)",
         params: &SUITE_PARAMS,
-        build: |params| {
-            Ok(vec![campaigns::fig9_spec(
-                params.workload_names(),
-                params.single_sm_count(),
-                params.seed_mode(),
-            )])
-        },
+        build: campaigns::fig9,
         preamble: no_preamble,
         render: render_fig9,
         fail_on_point_failure: false,
@@ -1376,13 +1326,7 @@ static CAMPAIGNS: [Campaign; 17] = [
         summary: "latency-tolerance matrix (orgs x latency factors)",
         artifacts: "fig11.{csv,json} (fig11-smN for multi-SM runs)",
         params: &SUITE_PARAMS,
-        build: |params| {
-            Ok(vec![campaigns::fig11_spec(
-                params.workload_names(),
-                params.single_sm_count(),
-                params.seed_mode(),
-            )])
-        },
+        build: campaigns::fig11,
         preamble: no_preamble,
         render: render_fig11,
         fail_on_point_failure: false,
@@ -1395,13 +1339,7 @@ static CAMPAIGNS: [Campaign; 17] = [
         summary: "LTRF latency sweep x registers per interval",
         artifacts: "fig12.{csv,json} (fig12-smN for multi-SM runs)",
         params: &SUITE_PARAMS,
-        build: |params| {
-            Ok(vec![campaigns::fig12_spec(
-                params.workload_names(),
-                params.single_sm_count(),
-                params.seed_mode(),
-            )])
-        },
+        build: campaigns::fig12,
         preamble: no_preamble,
         render: render_fig12,
         fail_on_point_failure: false,
@@ -1414,13 +1352,7 @@ static CAMPAIGNS: [Campaign; 17] = [
         summary: "LTRF latency sweep x active warps",
         artifacts: "fig13.{csv,json} (fig13-smN for multi-SM runs)",
         params: &SUITE_PARAMS,
-        build: |params| {
-            Ok(vec![campaigns::fig13_spec(
-                params.workload_names(),
-                params.single_sm_count(),
-                params.seed_mode(),
-            )])
-        },
+        build: campaigns::fig13,
         preamble: no_preamble,
         render: render_fig13,
         fail_on_point_failure: false,
@@ -1433,13 +1365,7 @@ static CAMPAIGNS: [Campaign; 17] = [
         summary: "latency sweep x register-caching scheme (fig4 = the 1x hit rates)",
         artifacts: "fig14.{csv,json} (fig14-smN for multi-SM runs)",
         params: &SUITE_PARAMS,
-        build: |params| {
-            Ok(vec![campaigns::fig14_spec(
-                params.workload_names(),
-                params.single_sm_count(),
-                params.seed_mode(),
-            )])
-        },
+        build: campaigns::fig14,
         preamble: no_preamble,
         render: render_fig14,
         fail_on_point_failure: false,
@@ -1452,13 +1378,7 @@ static CAMPAIGNS: [Campaign; 17] = [
         summary: "the seven design points, swept under BL and LTRF",
         artifacts: "table2.{csv,json} (table2-smN for multi-SM runs)",
         params: &SUITE_PARAMS,
-        build: |params| {
-            Ok(vec![campaigns::table2_spec(
-                params.workload_names(),
-                params.single_sm_count(),
-                params.seed_mode(),
-            )])
-        },
+        build: campaigns::table2,
         preamble: table2_preamble,
         render: render_table2,
         fail_on_point_failure: false,
@@ -1471,14 +1391,7 @@ static CAMPAIGNS: [Campaign; 17] = [
         summary: "RF power across all design points (fig10 = the #7 slice)",
         artifacts: "power.{csv,json} (power-p<hex> for non-default calibrations)",
         params: &POWER_CAMPAIGN_PARAMS,
-        build: |params| {
-            Ok(vec![campaigns::power_sweep_spec(
-                params.workload_names(),
-                params.single_sm_count(),
-                params.seed_mode(),
-                params.power_params()?,
-            )])
-        },
+        build: campaigns::power,
         preamble: power_preamble,
         render: render_power,
         fail_on_point_failure: false,
@@ -1496,13 +1409,7 @@ static CAMPAIGNS: [Campaign; 17] = [
         summary: "the full paper-artifact set into one directory",
         artifacts: "fig9/fig11/fig12/fig13/fig14/table2/power .{csv,json}",
         params: &SUITE_PARAMS,
-        build: |params| {
-            Ok(campaigns::repro_specs(
-                &params.workload_names(),
-                params.single_sm_count(),
-                params.seed_mode(),
-            ))
-        },
+        build: campaigns::repro,
         preamble: repro_preamble,
         render: render_repro,
         fail_on_point_failure: true,
@@ -1515,13 +1422,7 @@ static CAMPAIGNS: [Campaign; 17] = [
         summary: "BL/LTRF full-GPU scaling over shared L2/DRAM",
         artifacts: "gpu-scale.{csv,json}",
         params: &GPU_SCALE_PARAMS,
-        build: |params| {
-            Ok(vec![campaigns::gpu_scale_spec(
-                params.workload_names(),
-                &params.sm_count_axis(),
-                params.seed_mode(),
-            )])
-        },
+        build: campaigns::gpu_scale,
         preamble: no_preamble,
         render: render_gpu_scale,
         fail_on_point_failure: false,
@@ -1534,7 +1435,7 @@ static CAMPAIGNS: [Campaign; 17] = [
         summary: "BL/LTRF over a seeded random kernel population",
         artifacts: "gen-campaign-nN-sS.{csv,json} (bounds-fingerprinted when non-default)",
         params: &GEN_CAMPAIGN_PARAMS,
-        build: |params| Ok(vec![campaigns::gen_campaign_spec(&params.gen_params()?)]),
+        build: campaigns::gen_campaign,
         preamble: gen_campaign_preamble,
         render: render_gen_campaign,
         fail_on_point_failure: false,
@@ -1547,11 +1448,7 @@ static CAMPAIGNS: [Campaign; 17] = [
         summary: "BL/LTRF over kernels lowered from execution traces",
         artifacts: "trace-campaign-t<hex>.{csv,json} (fingerprinted by the trace set)",
         params: &TRACE_CAMPAIGN_PARAMS,
-        build: |params| {
-            Ok(vec![campaigns::trace_campaign_spec(
-                &params.trace_params()?,
-            )])
-        },
+        build: campaigns::trace_campaign,
         preamble: trace_campaign_preamble,
         render: render_trace_campaign,
         fail_on_point_failure: false,
@@ -1564,12 +1461,7 @@ static CAMPAIGNS: [Campaign; 17] = [
         summary: "SM<->L2 network topologies under shared-memory contention",
         artifacts: "interconnect-<topology>.{csv,json} (one per swept topology)",
         params: &INTERCONNECT_PARAMS,
-        build: |params| {
-            Ok(campaigns::interconnect_specs(
-                &params.workload_names(),
-                &params.interconnect_params(),
-            ))
-        },
+        build: campaigns::interconnect,
         preamble: interconnect_preamble,
         render: render_interconnect,
         fail_on_point_failure: false,
@@ -1642,7 +1534,7 @@ impl CampaignRegistry {
     /// The canonical names of the campaigns accepting a flag, in help
     /// order.
     #[must_use]
-    pub fn campaigns_accepting(&self, spec: &ParamSpec) -> Vec<&'static str> {
+    pub(crate) fn campaigns_accepting(&self, spec: &ParamSpec) -> Vec<&'static str> {
         self.campaigns
             .iter()
             .filter(|c| c.accepts(spec))
@@ -1965,14 +1857,16 @@ mod tests {
         };
         let fig9 = registry().find("fig9").unwrap().specs(&params).unwrap();
         assert_eq!(fig9.len(), 1);
-        assert_eq!(
-            fig9[0],
-            campaigns::fig9_spec(params.workload_names(), 1, SeedMode::Fixed(CAMPAIGN_SEED)),
-            "registry fig9 is byte-for-byte the canonical constructor"
-        );
+        assert_eq!(fig9[0].name, "fig9");
+        assert_eq!(fig9[0].seed_mode, SeedMode::Fixed(CAMPAIGN_SEED));
+        assert!(fig9[0]
+            .points
+            .iter()
+            .all(|p| QUICK_SUBSET.contains(&p.workload.as_str())));
 
         let repro = registry().find("repro").unwrap().specs(&params).unwrap();
         assert_eq!(repro.len(), 7, "repro composes the whole artifact set");
+        assert_eq!(repro[0], fig9[0], "repro's fig9 is `sweep fig9`'s");
 
         let power = registry().find("power").unwrap().specs(&params).unwrap();
         assert_eq!(power[0].name, "power");
@@ -1982,12 +1876,9 @@ mod tests {
             .unwrap()
             .specs(&params)
             .unwrap();
-        assert_eq!(
-            interconnect,
-            campaigns::interconnect_specs(&params.workload_names(), &params.interconnect_params()),
-            "registry interconnect is byte-for-byte the canonical constructor"
-        );
         assert_eq!(interconnect.len(), 2, "ideal vs crossbar by default");
+        assert_eq!(interconnect[0].name, "interconnect-ideal");
+        assert_eq!(interconnect[1].name, "interconnect-crossbar");
         let narrowed = CampaignParams {
             quick: true,
             topology: Some(Topology::Mesh2D),
@@ -2076,14 +1967,27 @@ mod tests {
         registry
             .param("--link-width")
             .unwrap()
-            .apply(&mut params, Some("0"))
+            .apply(&mut params, Some("16"))
             .unwrap();
-        assert_eq!(params.link_width, Some(1), "width clamps to 1");
+        assert_eq!(params.link_width, Some(16));
         registry
             .param("--queue-depth")
             .unwrap()
             .apply(&mut params, Some("4"))
             .unwrap();
+        assert_eq!(params.queue_depth, Some(4));
+        // A zero count names no machine: rejected by flag, never clamped
+        // into a configuration nobody asked for.
+        for flag in ["--sm-count", "--link-width", "--queue-depth"] {
+            let zero = registry
+                .param(flag)
+                .unwrap()
+                .apply(&mut params, Some("0"))
+                .unwrap_err();
+            assert_eq!(zero, format!("{flag} must be at least 1"));
+        }
+        assert_eq!(params.sm_count, Some(4), "a rejected value changes nothing");
+        assert_eq!(params.link_width, Some(16));
         assert_eq!(params.queue_depth, Some(4));
 
         let missing = registry.param("--threads");

@@ -24,11 +24,11 @@
 //! ```
 //!
 //! Execution streams: every completed point's CSV row is written to
-//! `<out>/<campaign>.csv` as it completes (bounded memory, byte-identical
-//! to the batch renderer) and folded into the running aggregates the
-//! summary tables read. Every successful point is stored in the cache as it
+//! `<out>/<campaign>.csv` as it completes (byte-identical to the batch
+//! renderer), and every successful point is stored in the cache as it
 //! completes, so a killed campaign rerun over the same cache recomputes only
-//! the points it had not finished.
+//! the points it had not finished. The summary tables read the records the
+//! run returns, in spec order.
 //!
 //! Campaign parameters (`--quick`, `--sm-count`, the generator bounds, the
 //! power-calibration knobs, …) are declared per campaign in the registry;
@@ -44,9 +44,8 @@ use std::time::Instant;
 use ltrf_sweep::api::{self, registry, Campaign, CampaignParams, RenderContext};
 use ltrf_sweep::{print, println};
 use ltrf_sweep::{
-    report, AggregateSink, CampaignEvent, CampaignSession, ExecutorOptions, FanoutSink, RecordSink,
-    RunningAggregates, StreamingCsvWriter, SweepResults, SweepSpec, CACHE_SCHEMA_VERSION,
-    ENGINE_FINGERPRINT,
+    report, CampaignEvent, CampaignSession, ExecutorOptions, StreamingCsvWriter, SweepResults,
+    SweepSpec, CACHE_SCHEMA_VERSION, ENGINE_FINGERPRINT,
 };
 
 /// How execution progress reaches stdout.
@@ -251,34 +250,24 @@ fn run_campaign(campaign: &Campaign, args: &[String]) -> Result<(), String> {
     let (runtime, params) = parse_invocation(campaign, args)?;
     let specs = campaign.specs(&params)?;
     let human = runtime.progress == ProgressMode::Human;
+    let ctx = RenderContext {
+        params: &params,
+        out_dir: &runtime.out_dir,
+    };
     if human {
-        // Before execution there are no aggregates yet.
-        let preamble_ctx = RenderContext {
-            params: &params,
-            out_dir: &runtime.out_dir,
-            aggregates: &[],
-        };
-        let preamble = (campaign.preamble)(&specs, &preamble_ctx);
+        let preamble = (campaign.preamble)(&specs, &ctx);
         if !preamble.is_empty() {
             println!("{preamble}");
         }
     }
     let mut all = Vec::with_capacity(specs.len());
-    let mut aggregates = Vec::with_capacity(specs.len());
     for spec in &specs {
         if human && specs.len() > 1 {
             println!();
         }
-        let (results, agg) = execute(spec, &runtime)?;
-        all.push(results);
-        aggregates.push(agg);
+        all.push(execute(spec, &runtime)?);
     }
     if human {
-        let ctx = RenderContext {
-            params: &params,
-            out_dir: &runtime.out_dir,
-            aggregates: &aggregates,
-        };
         (campaign.render)(&all, &ctx)?;
     }
     if campaign.fail_on_point_failure {
@@ -291,13 +280,10 @@ fn run_campaign(campaign: &Campaign, args: &[String]) -> Result<(), String> {
 }
 
 /// Runs one campaign spec with progress on the event stream, streaming the
-/// CSV report row by row (and the summary aggregates) as points complete,
-/// writes the JSON report, prints the summary (human mode), and hands the
-/// results plus aggregates back for the campaign's summary renderer.
-fn execute(
-    spec: &SweepSpec,
-    runtime: &RuntimeOptions,
-) -> Result<(SweepResults, RunningAggregates), String> {
+/// CSV report row by row as points complete, writes the JSON report, prints
+/// the summary (human mode), and hands the results back for the campaign's
+/// summary renderer.
+fn execute(spec: &SweepSpec, runtime: &RuntimeOptions) -> Result<SweepResults, String> {
     // The out dir must exist before the run: the streaming CSV is written
     // while points execute.
     std::fs::create_dir_all(&runtime.out_dir)
@@ -317,9 +303,6 @@ fn execute(
     // else keeps the frozen standard schema byte for byte.
     let csv = StreamingCsvWriter::create_with_schema(&csv_path, report::CsvSchema::for_spec(spec))
         .map_err(|e| format!("creating {}: {e}", csv_path.display()))?;
-    let agg = AggregateSink::new();
-    let sinks: [&dyn RecordSink; 2] = [&csv, &agg];
-    let fanout = FanoutSink(&sinks);
 
     let started = Instant::now();
     let (results, totals) = match runtime.progress {
@@ -339,18 +322,17 @@ fn execute(
                 }
                 _ => {}
             },
-            &fanout,
+            &csv,
         ),
         ProgressMode::Json => session.run_with_sink(
             &|event: &CampaignEvent| println!("{}", event.to_json_line()),
-            &fanout,
+            &csv,
         ),
     };
     let elapsed = started.elapsed();
 
     csv.finish()
         .map_err(|e| format!("writing {}: {e}", csv_path.display()))?;
-    let aggregates = agg.finish();
     report::write_json(&results, &json_path)
         .map_err(|e| format!("writing {}: {e}", json_path.display()))?;
 
@@ -367,7 +349,7 @@ fn execute(
             csv_path.display()
         );
     }
-    Ok((results, aggregates))
+    Ok(results)
 }
 
 #[cfg(test)]

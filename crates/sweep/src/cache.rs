@@ -19,7 +19,7 @@
 //! unreadable or unparsable is treated as a miss and recomputed.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -131,7 +131,6 @@ pub fn point_key(spec: &SweepSpec, point: &SweepPoint) -> PointKey {
 /// An on-disk content-addressed store of point outcomes.
 #[derive(Debug)]
 pub struct ResultCache {
-    dir: PathBuf,
     packed: PackedStore,
 }
 
@@ -156,13 +155,7 @@ impl ResultCache {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let packed = PackedStore::open(dir.join("segments"))?;
-        Ok(ResultCache { dir, packed })
-    }
-
-    /// The cache's root directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
+        Ok(ResultCache { packed })
     }
 
     /// Loads the outcome stored under `key`, verifying the key material.
@@ -353,10 +346,13 @@ mod tests {
         );
         // Tighter lowering bounds change the digest too.
         let bounded = SweepSpec::builder("trace-keys")
-            .trace_population([id.with_bounds(LoweringBounds {
-                max_dynamic_instructions: 1000,
-                max_blocks: 64,
-            })])
+            .trace_population([TraceWorkloadId {
+                bounds: LoweringBounds {
+                    max_dynamic_instructions: 1000,
+                    max_blocks: 64,
+                },
+                ..id
+            }])
             .seed_mode(SeedMode::Fixed(1))
             .build();
         assert_ne!(
@@ -376,7 +372,7 @@ mod tests {
     #[test]
     fn point_keys_are_pinned() {
         use crate::api::{registry, CampaignParams};
-        use crate::campaigns::{trace_campaign_spec, TraceCampaignParams};
+        use ltrf_core::Organization;
         use ltrf_sim::Topology;
         use ltrf_trace::{LoweringBounds, TraceWorkloadId};
 
@@ -408,11 +404,16 @@ mod tests {
             },
         )
         .remove(0);
-        let trace = trace_campaign_spec(&TraceCampaignParams::new(vec![TraceWorkloadId {
-            path: "examples/traces/straight_line.trace".to_string(),
-            content_hash: "cbf29ce484222325".to_string(),
-            bounds: LoweringBounds::default(),
-        }]));
+        // `trace-campaign`'s matrix over a fixed identity (the registry
+        // row reads the file, whose bytes may change).
+        let trace = SweepSpec::builder("trace-campaign")
+            .organizations([Organization::Baseline, Organization::Ltrf])
+            .trace_population([TraceWorkloadId {
+                path: "examples/traces/straight_line.trace".to_string(),
+                content_hash: "cbf29ce484222325".to_string(),
+                bounds: LoweringBounds::default(),
+            }])
+            .build();
         let mesh = specs(
             "interconnect",
             CampaignParams {

@@ -1,26 +1,28 @@
-//! Canonical campaign constructors — one per simulated paper artifact.
+//! Canonical campaign constructors — one per simulated registry entry.
 //!
-//! The `sweep` CLI and the regression tests must agree — byte for byte — on
-//! what "the Figure 9 campaign" or "the power sweep" means: the golden-file
-//! tests pin the CLI's CSV output, and the benchmark rebuilds the same
-//! specs through the registry. Keeping every spec constructor here makes
-//! that agreement structural rather than a convention: there is exactly
-//! one definition of each campaign in the workspace, and every entry point
-//! calls it.
+//! Every constructor reads the invocation's [`CampaignParams`], the one
+//! typed parameter value of every front end, and returns the campaign's
+//! specs. The registry rows in [`crate::api`] point straight at these
+//! functions, so the `sweep` CLI, the regression tests and the benchmark all
+//! reach a campaign through its registry row and agree — byte for byte — on
+//! what "the Figure 9 campaign" or "the power sweep" means: there is exactly
+//! one definition of each campaign in the workspace, and every default it
+//! applies lives in one constant here or in [`CampaignParams`].
 //!
 //! | Constructor | Paper artifact | CLI entry point |
 //! |---|---|---|
-//! | [`fig9_spec`] | Figure 9 (overall IPC); Figure 3 is its Ideal/BL slice on #6 | `sweep fig9` (`sweep fig3`) |
-//! | [`fig11_spec`] | Figure 11 (max tolerable latency) | `sweep fig11` |
-//! | [`fig12_spec`] | Figure 12 (interval-size sweep) | `sweep fig12` |
-//! | [`fig13_spec`] | Figure 13 (active-warp sweep) | `sweep fig13` |
-//! | [`fig14_spec`] | Figure 14 (scheme comparison); Figure 4 is its 1× slice | `sweep fig14` (`sweep fig4`) |
-//! | [`table2_spec`] | Table 2 (design-point IPC) | `sweep table2` |
-//! | [`power_sweep_spec`] | §6.4 power across all design points; Figure 10 is its #7 slice | `sweep power` (`sweep fig10`) |
-//! | [`gen_campaign_spec`] | beyond-paper generated populations | `sweep gen-campaign` |
-//! | [`trace_campaign_spec`] | beyond-paper trace-driven workloads | `sweep trace-campaign` |
-//! | [`interconnect_specs`] | beyond-paper SM↔L2 network study | `sweep interconnect` |
-//! | [`repro_specs`] | the full artifact set | `sweep repro` |
+//! | [`fig9`] | Figure 9 (overall IPC); Figure 3 is its Ideal/BL slice on #6 | `sweep fig9` (`sweep fig3`) |
+//! | [`fig11`] | Figure 11 (max tolerable latency) | `sweep fig11` |
+//! | [`fig12`] | Figure 12 (interval-size sweep) | `sweep fig12` |
+//! | [`fig13`] | Figure 13 (active-warp sweep) | `sweep fig13` |
+//! | [`fig14`] | Figure 14 (scheme comparison); Figure 4 is its 1× slice | `sweep fig14` (`sweep fig4`) |
+//! | [`table2`] | Table 2 (design-point IPC) | `sweep table2` |
+//! | [`power`] | §6.4 power across all design points; Figure 10 is its #7 slice | `sweep power` (`sweep fig10`) |
+//! | [`repro`] | the full artifact set | `sweep repro` |
+//! | [`gpu_scale`] | beyond-paper full-GPU scaling | `sweep gpu-scale` |
+//! | [`gen_campaign`] | beyond-paper generated populations | `sweep gen-campaign` |
+//! | [`trace_campaign`] | beyond-paper trace-driven workloads | `sweep trace-campaign` |
+//! | [`interconnect`] | beyond-paper SM↔L2 network study | `sweep interconnect` |
 //!
 //! Cache identity is per *point*, not per campaign: a point's key material
 //! is its workload, memory selection, seeding/normalization policy, and full
@@ -32,16 +34,19 @@
 
 use ltrf_core::Organization;
 use ltrf_sim::{InterconnectConfig, Topology};
-use ltrf_tech::PowerParams;
 use ltrf_trace::TraceWorkloadId;
 use ltrf_workloads::GeneratorConfig;
 
-use crate::spec::{SeedMode, SweepSpec};
-use crate::CAMPAIGN_SEED;
+use crate::api::CampaignParams;
+use crate::spec::{SweepSpec, SweepSpecBuilder};
+
+/// What a constructor returns: the campaign's specs, or a flag-named
+/// complaint about its parameters.
+type Specs = Result<Vec<SweepSpec>, String>;
 
 /// The organizations of Figure 9 (everything except the §6.6 strand
 /// ablation).
-pub const FIG9_ORGS: [Organization; 6] = [
+pub(crate) const FIG9_ORGS: [Organization; 6] = [
     Organization::Baseline,
     Organization::Rfc,
     Organization::Shrf,
@@ -50,44 +55,8 @@ pub const FIG9_ORGS: [Organization; 6] = [
     Organization::Ideal,
 ];
 
-/// The organizations a generated campaign compares (the paper's headline
-/// pair: the conventional register file and LTRF).
-pub const GEN_CAMPAIGN_ORGS: [Organization; 2] = [Organization::Baseline, Organization::Ltrf];
-
-/// The campaign (and report file) name for a figure at the requested SM
-/// count: the historical name at one SM — so report files keep their paths
-/// and their single-SM contents — and a `-smN` suffix for full-GPU variants
-/// so they never clobber the single-SM reports.
-#[must_use]
-pub fn campaign_name(base: &str, sm_count: usize) -> String {
-    if sm_count == 1 {
-        base.to_string()
-    } else {
-        format!("{base}-sm{sm_count}")
-    }
-}
-
-/// The Figure 9 campaign: [`FIG9_ORGS`] × the given workloads on
-/// configurations #6 and #7, normalized — exactly what `sweep fig9` runs
-/// (and what the golden-file regression test pins).
-#[must_use]
-pub fn fig9_spec<S: Into<String>>(
-    workloads: impl IntoIterator<Item = S>,
-    sm_count: usize,
-    seed_mode: SeedMode,
-) -> SweepSpec {
-    SweepSpec::builder(campaign_name("fig9", sm_count))
-        .workloads(workloads)
-        .organizations(FIG9_ORGS)
-        .config_ids([6, 7])
-        .sm_counts([sm_count])
-        .seed_mode(seed_mode)
-        .normalize(true)
-        .build()
-}
-
 /// The organizations of the Figure 11 latency-tolerance matrix.
-pub const FIG11_ORGS: [Organization; 4] = [
+pub(crate) const FIG11_ORGS: [Organization; 4] = [
     Organization::Baseline,
     Organization::Rfc,
     Organization::Ltrf,
@@ -96,7 +65,7 @@ pub const FIG11_ORGS: [Organization; 4] = [
 
 /// The organizations of the Figure 14 scheme comparison (the §6.6 strand
 /// ablation rides along here).
-pub const FIG14_ORGS: [Organization; 5] = [
+pub(crate) const FIG14_ORGS: [Organization; 5] = [
     Organization::Baseline,
     Organization::Rfc,
     Organization::Shrf,
@@ -107,558 +76,435 @@ pub const FIG14_ORGS: [Organization; 5] = [
 /// The organizations of the power artifacts (Figure 10 and the `sweep
 /// power` design-point sweep): the three register-caching schemes whose
 /// power the paper reports, each normalized to the baseline.
-pub const POWER_ORGS: [Organization; 3] = [
+pub(crate) const POWER_ORGS: [Organization; 3] = [
     Organization::Rfc,
     Organization::Ltrf,
     Organization::LtrfPlus,
 ];
 
-/// The organizations of the Table 2 design-point sweep (the paper's
-/// headline pair).
-pub const TABLE2_ORGS: [Organization; 2] = [Organization::Baseline, Organization::Ltrf];
+/// The paper's headline pair — the conventional register file and LTRF —
+/// which Table 2, `gpu-scale`, and the generated and trace campaigns
+/// compare.
+pub(crate) const HEADLINE_ORGS: [Organization; 2] = [Organization::Baseline, Organization::Ltrf];
 
 /// The register-interval sizes of the Figure 12 sensitivity sweep.
-pub const FIG12_INTERVAL_SIZES: [usize; 3] = [8, 16, 32];
+pub(crate) const FIG12_INTERVAL_SIZES: [usize; 3] = [8, 16, 32];
 
 /// The active-warp counts of the Figure 13 sensitivity sweep.
-pub const FIG13_WARP_COUNTS: [usize; 3] = [4, 8, 16];
+pub(crate) const FIG13_WARP_COUNTS: [usize; 3] = [4, 8, 16];
+
+/// The SM-count axis of `gpu-scale` when `--sm-counts` is not given.
+pub(crate) const GPU_SCALE_SM_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// The SM-count axis of `interconnect` when `--sm-counts` is not given:
+/// contention (and therefore topology divergence) only appears once enough
+/// SMs share the L2, so it reaches 16.
+pub(crate) const INTERCONNECT_SM_COUNTS: [usize; 3] = [1, 4, 16];
+
+/// The topologies `interconnect` compares when `--topology` is not given:
+/// the contention-free reference against the single-stage crossbar.
+pub(crate) const INTERCONNECT_TOPOLOGIES: [Topology; 2] = [Topology::Ideal, Topology::Crossbar];
+
+/// The traces of `trace-campaign` when no `--trace` is given: the three
+/// checked-in example traces, relative to the repository root.
+const DEFAULT_TRACES: [&str; 3] = [
+    "examples/traces/straight_line.trace",
+    "examples/traces/divergent_loop.trace",
+    "examples/traces/high_register_pressure.trace",
+];
+
+/// The campaign (and report file) name at the requested SM count: the
+/// historical name at one SM — so report files keep their paths and their
+/// single-SM contents — and a `-smN` suffix for full-GPU variants so they
+/// never clobber the single-SM reports.
+fn campaign_name(base: &str, sm_count: usize) -> String {
+    if sm_count == 1 {
+        base.to_string()
+    } else {
+        format!("{base}-sm{sm_count}")
+    }
+}
+
+/// Eight hex digits of a value's canonical encoding: enough to keep
+/// differently parameterized report files apart, while the full value stays
+/// readable in the JSON report and the cache-key material.
+fn fingerprint(value: &impl serde::Serialize) -> String {
+    let digest = crate::hash::sha256(value.to_value().to_json().as_bytes());
+    crate::hash::to_hex(&digest)[..8].to_string()
+}
+
+/// A campaign at the single `--sm-count`, named `base` (suffixed `-smN`
+/// beyond one SM) and seeded as `params` asks.
+fn at_sm_count(base: &str, params: &CampaignParams) -> SweepSpecBuilder {
+    let sm_count = params.single_sm_count();
+    SweepSpec::builder(campaign_name(base, sm_count))
+        .sm_counts([sm_count])
+        .seed_mode(params.seed_mode())
+}
+
+/// [`at_sm_count`] over the selected suite workloads.
+fn suite(base: &str, params: &CampaignParams) -> SweepSpecBuilder {
+    at_sm_count(base, params).workloads(params.workload_names())
+}
 
 /// The latency-sweep matrix shared by Figures 11–14: the given organizations
 /// × the paper's latency factors on configuration #1, un-normalized (the
 /// sweeps report IPC *relative to each curve's own 1× point*, which the
 /// consumers derive; baseline-normalization would double-simulate).
-fn latency_matrix<S: Into<String>>(
-    name: String,
-    workloads: impl IntoIterator<Item = S>,
+fn latency_matrix(
+    base: &str,
+    params: &CampaignParams,
     organizations: impl IntoIterator<Item = Organization>,
-    sm_count: usize,
-    seed_mode: SeedMode,
-) -> crate::SweepSpecBuilder {
-    SweepSpec::builder(name)
-        .workloads(workloads)
+) -> SweepSpecBuilder {
+    suite(base, params)
         .organizations(organizations)
         .config_ids([1])
         .latency_factors(ltrf_core::paper_latency_factors().into_iter().map(Some))
-        .sm_counts([sm_count])
-        .seed_mode(seed_mode)
         .normalize(false)
 }
 
-/// The Figure 11 campaign: [`FIG11_ORGS`] × the given workloads × the
-/// paper's latency factors on configuration #1 — exactly what `sweep fig11`
-/// runs.
-#[must_use]
-pub fn fig11_spec<S: Into<String>>(
-    workloads: impl IntoIterator<Item = S>,
-    sm_count: usize,
-    seed_mode: SeedMode,
-) -> SweepSpec {
-    latency_matrix(
-        campaign_name("fig11", sm_count),
-        workloads,
-        FIG11_ORGS,
-        sm_count,
-        seed_mode,
-    )
-    .build()
-}
-
-/// The Figure 12 campaign: LTRF × the given workloads × the paper's latency
-/// factors × [`FIG12_INTERVAL_SIZES`] registers per register-interval —
-/// exactly what `sweep fig12` runs (and what the golden-file regression
-/// test pins).
-#[must_use]
-pub fn fig12_spec<S: Into<String>>(
-    workloads: impl IntoIterator<Item = S>,
-    sm_count: usize,
-    seed_mode: SeedMode,
-) -> SweepSpec {
-    latency_matrix(
-        campaign_name("fig12", sm_count),
-        workloads,
-        [Organization::Ltrf],
-        sm_count,
-        seed_mode,
-    )
-    .registers_per_interval(FIG12_INTERVAL_SIZES)
-    .build()
-}
-
-/// The Figure 13 campaign: LTRF × the given workloads × the paper's latency
-/// factors × [`FIG13_WARP_COUNTS`] active warps — exactly what `sweep
-/// fig13` runs.
-#[must_use]
-pub fn fig13_spec<S: Into<String>>(
-    workloads: impl IntoIterator<Item = S>,
-    sm_count: usize,
-    seed_mode: SeedMode,
-) -> SweepSpec {
-    latency_matrix(
-        campaign_name("fig13", sm_count),
-        workloads,
-        [Organization::Ltrf],
-        sm_count,
-        seed_mode,
-    )
-    .active_warps(FIG13_WARP_COUNTS)
-    .build()
-}
-
-/// The Figure 14 campaign: [`FIG14_ORGS`] × the given workloads × the
-/// paper's latency factors on configuration #1 — exactly what `sweep fig14`
-/// runs. Its 1× points are Figure 4's register-cache hit-rate study.
-#[must_use]
-pub fn fig14_spec<S: Into<String>>(
-    workloads: impl IntoIterator<Item = S>,
-    sm_count: usize,
-    seed_mode: SeedMode,
-) -> SweepSpec {
-    latency_matrix(
-        campaign_name("fig14", sm_count),
-        workloads,
-        FIG14_ORGS,
-        sm_count,
-        seed_mode,
-    )
-    .build()
-}
-
-/// The Table 2 design-point campaign: [`TABLE2_ORGS`] × the given workloads
-/// on every configuration #1–#7, normalized — exactly what `sweep table2`
-/// runs.
-#[must_use]
-pub fn table2_spec<S: Into<String>>(
-    workloads: impl IntoIterator<Item = S>,
-    sm_count: usize,
-    seed_mode: SeedMode,
-) -> SweepSpec {
-    SweepSpec::builder(campaign_name("table2", sm_count))
-        .workloads(workloads)
-        .organizations(TABLE2_ORGS)
-        .config_ids(1..=7)
-        .sm_counts([sm_count])
-        .seed_mode(seed_mode)
+/// The Figure 9 campaign: [`FIG9_ORGS`] × the workloads on configurations
+/// #6 and #7, normalized.
+pub(crate) fn fig9(params: &CampaignParams) -> Specs {
+    Ok(vec![suite("fig9", params)
+        .organizations(FIG9_ORGS)
+        .config_ids([6, 7])
         .normalize(true)
-        .build()
+        .build()])
 }
 
-/// The power sweep: [`POWER_ORGS`] × the given workloads on *every* Table 2
-/// design point #1–#7, normalized, under an explicit [`PowerParams`]
-/// calibration — exactly what `sweep power` runs. At the default
-/// calibration its configuration-#7 rows are Figure 10; the other design
-/// points extend the paper's §6.4 power discussion across the whole design
-/// space.
+/// The Figure 11 campaign: [`FIG11_ORGS`] × the workloads × the paper's
+/// latency factors on configuration #1.
+pub(crate) fn fig11(params: &CampaignParams) -> Specs {
+    Ok(vec![latency_matrix("fig11", params, FIG11_ORGS).build()])
+}
+
+/// The Figure 12 campaign: LTRF × the workloads × the paper's latency
+/// factors × [`FIG12_INTERVAL_SIZES`] registers per register-interval.
+pub(crate) fn fig12(params: &CampaignParams) -> Specs {
+    Ok(vec![latency_matrix("fig12", params, [Organization::Ltrf])
+        .registers_per_interval(FIG12_INTERVAL_SIZES)
+        .build()])
+}
+
+/// The Figure 13 campaign: LTRF × the workloads × the paper's latency
+/// factors × [`FIG13_WARP_COUNTS`] active warps.
+pub(crate) fn fig13(params: &CampaignParams) -> Specs {
+    Ok(vec![latency_matrix("fig13", params, [Organization::Ltrf])
+        .active_warps(FIG13_WARP_COUNTS)
+        .build()])
+}
+
+/// The Figure 14 campaign: [`FIG14_ORGS`] × the workloads × the paper's
+/// latency factors on configuration #1. Its 1× points are Figure 4's
+/// register-cache hit-rate study.
+pub(crate) fn fig14(params: &CampaignParams) -> Specs {
+    Ok(vec![latency_matrix("fig14", params, FIG14_ORGS).build()])
+}
+
+/// The Table 2 design-point campaign: [`HEADLINE_ORGS`] × the workloads on
+/// every configuration #1–#7, normalized.
+pub fn table2(params: &CampaignParams) -> Specs {
+    Ok(vec![suite("table2", params)
+        .organizations(HEADLINE_ORGS)
+        .config_ids(1..=7)
+        .normalize(true)
+        .build()])
+}
+
+/// The power sweep: [`POWER_ORGS`] × the workloads on *every* Table 2
+/// design point #1–#7, normalized, under the calibration `params` asks for.
+/// At the default calibration its configuration-#7 rows are Figure 10; the
+/// other design points extend the paper's §6.4 power discussion across the
+/// whole design space.
 ///
 /// The campaign (and report file) name carries a `-p<hex>` fingerprint of
-/// non-default calibrations so differently calibrated sweeps never clobber
+/// a non-default calibration so differently calibrated sweeps never clobber
 /// each other's reports; the calibration itself is cache-key material
 /// either way.
-///
-/// # Panics
-///
-/// Panics if the calibration fails [`PowerParams::validate`] (the CLI
-/// validates first and reports a friendly error).
-#[must_use]
-pub fn power_sweep_spec<S: Into<String>>(
-    workloads: impl IntoIterator<Item = S>,
-    sm_count: usize,
-    seed_mode: SeedMode,
-    params: PowerParams,
-) -> SweepSpec {
+pub(crate) fn power(params: &CampaignParams) -> Specs {
+    let calibration = params.power_params()?;
     let mut base = String::from("power");
-    if params != PowerParams::default() {
-        let digest = crate::hash::sha256(serde::Serialize::to_value(&params).to_json().as_bytes());
-        base.push_str(&format!("-p{}", &crate::hash::to_hex(&digest)[..8]));
+    if calibration != ltrf_tech::PowerParams::default() {
+        base.push_str(&format!("-p{}", fingerprint(&calibration)));
     }
-    SweepSpec::builder(campaign_name(&base, sm_count))
-        .workloads(workloads)
+    Ok(vec![suite(&base, params)
         .organizations(POWER_ORGS)
         .config_ids(1..=7)
-        .sm_counts([sm_count])
-        .seed_mode(seed_mode)
         .normalize(true)
-        .power_params(params)
-        .build()
+        .power_params(calibration)
+        .build()])
 }
 
 /// The full paper-artifact set, in atlas order: Figure 9, Figure 11,
-/// Figure 12, Figure 13, Figure 14, Table 2, and the power sweep (at the
-/// default calibration, whose configuration-#7 slice is Figure 10) — exactly
-/// the campaigns `sweep repro` runs into one output directory. Campaigns
-/// share many points (the Figure 11 matrix contains Figure 12's
+/// Figure 12, Figure 13, Figure 14, Table 2, and the power sweep at the
+/// default calibration (whose configuration-#7 slice is Figure 10). The
+/// campaigns share many points (the Figure 11 matrix contains Figure 12's
 /// 16-registers-per-interval curve and Figure 14's BL/RFC/LTRF curves;
 /// Table 2 contains Figure 9's normalized points on configurations #6/#7),
 /// so a cold `repro` already reuses work through the cache and a warm rerun
 /// hits 100%.
-#[must_use]
-pub fn repro_specs<S: Into<String> + Clone>(
-    workloads: &[S],
-    sm_count: usize,
-    seed_mode: SeedMode,
-) -> Vec<SweepSpec> {
-    vec![
-        fig9_spec(workloads.iter().cloned(), sm_count, seed_mode),
-        fig11_spec(workloads.iter().cloned(), sm_count, seed_mode),
-        fig12_spec(workloads.iter().cloned(), sm_count, seed_mode),
-        fig13_spec(workloads.iter().cloned(), sm_count, seed_mode),
-        fig14_spec(workloads.iter().cloned(), sm_count, seed_mode),
-        table2_spec(workloads.iter().cloned(), sm_count, seed_mode),
-        power_sweep_spec(
-            workloads.iter().cloned(),
-            sm_count,
-            seed_mode,
-            PowerParams::default(),
-        ),
-    ]
+pub(crate) fn repro(params: &CampaignParams) -> Specs {
+    let canonical = CampaignParams {
+        access_energy_pj: None,
+        leakage_mw_per_kb: None,
+        dwm_write_penalty: None,
+        ..params.clone()
+    };
+    let mut specs = Vec::new();
+    for build in [fig9, fig11, fig12, fig13, fig14, table2, power] {
+        specs.extend(build(&canonical)?);
+    }
+    Ok(specs)
 }
 
-/// The GPU-scaling campaign: BL and LTRF × the given workloads on
-/// configuration #6 across an SM-count axis, normalized, grids weak-scaled
-/// — exactly what `sweep gpu-scale` runs.
-#[must_use]
-pub fn gpu_scale_spec<S: Into<String>>(
-    workloads: impl IntoIterator<Item = S>,
-    sm_counts: &[usize],
-    seed_mode: SeedMode,
-) -> SweepSpec {
-    SweepSpec::builder("gpu-scale")
-        .workloads(workloads)
-        .organizations([Organization::Baseline, Organization::Ltrf])
+/// The GPU-scaling campaign: [`HEADLINE_ORGS`] × the workloads on
+/// configuration #6 across the SM-count axis (default
+/// [`GPU_SCALE_SM_COUNTS`]), normalized, grids weak-scaled.
+pub(crate) fn gpu_scale(params: &CampaignParams) -> Specs {
+    Ok(vec![SweepSpec::builder("gpu-scale")
+        .workloads(params.workload_names())
+        .organizations(HEADLINE_ORGS)
         .config_ids([6])
-        .sm_counts(sm_counts.iter().copied())
-        .seed_mode(seed_mode)
+        .sm_counts(params.sm_count_axis(&GPU_SCALE_SM_COUNTS))
+        .seed_mode(params.seed_mode())
         .normalize(true)
-        .build()
+        .build()])
 }
 
-/// Parameters of a generated-workload campaign.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GenCampaignParams {
-    /// Population size (members 0..population of the population).
-    pub population: usize,
-    /// Seed of the generated population (this is the *generator* seed; the
-    /// simulation seeds come from `seed_mode`).
-    pub population_seed: u64,
-    /// Generator bounds the population is drawn under.
-    pub config: GeneratorConfig,
-    /// SMs per point (populations weak-scale with the SM count exactly as
-    /// suite workloads do — the runner scales each member's grid and
-    /// footprint from `ExperimentConfig::sm_count`).
-    pub sm_count: usize,
-    /// Simulation seeding policy.
-    pub seed_mode: SeedMode,
-}
-
-impl Default for GenCampaignParams {
-    fn default() -> Self {
-        GenCampaignParams {
-            population: 64,
-            population_seed: CAMPAIGN_SEED,
-            config: GeneratorConfig::default(),
-            sm_count: 1,
-            seed_mode: SeedMode::Fixed(CAMPAIGN_SEED),
-        }
+/// A generated-workload campaign: [`HEADLINE_ORGS`] × the population on
+/// configuration #6, normalized. The name is sized and seeded
+/// (`gen-campaign-nN-sS`) and, when the generator bounds differ from the
+/// defaults, fingerprinted (`-c<hex>`), so differently parameterized
+/// campaigns never clobber each other's reports. Populations weak-scale
+/// with the SM count exactly as suite workloads do.
+pub(crate) fn gen_campaign(params: &CampaignParams) -> Specs {
+    let (population, population_seed, bounds) = params.gen_params()?;
+    let mut base = format!("gen-campaign-n{population}-s{population_seed}");
+    if bounds != GeneratorConfig::default() {
+        base.push_str(&format!("-c{}", fingerprint(&bounds)));
     }
-}
-
-impl GenCampaignParams {
-    /// The campaign (and report file) name: sized, seeded, and — when the
-    /// generator bounds differ from the defaults — fingerprinted, so
-    /// differently parameterized campaigns never clobber each other's
-    /// reports.
-    #[must_use]
-    pub fn name(&self) -> String {
-        let mut base = format!(
-            "gen-campaign-n{}-s{}",
-            self.population, self.population_seed
-        );
-        if self.config != GeneratorConfig::default() {
-            // Eight hex digits of the bounds' canonical encoding: enough to
-            // separate report files; the full bounds remain readable in the
-            // JSON report and the cache-key material.
-            let digest = crate::hash::sha256(
-                serde::Serialize::to_value(&self.config)
-                    .to_json()
-                    .as_bytes(),
-            );
-            base.push_str(&format!("-c{}", &crate::hash::to_hex(&digest)[..8]));
-        }
-        campaign_name(&base, self.sm_count)
-    }
-}
-
-/// A generated-workload campaign: [`GEN_CAMPAIGN_ORGS`] × the population on
-/// configuration #6, normalized — exactly what `sweep gen-campaign` runs.
-///
-/// # Panics
-///
-/// Panics if the generator bounds fail [`GeneratorConfig::validate`] or the
-/// population is empty (the CLI validates first and reports a friendly
-/// error).
-#[must_use]
-pub fn gen_campaign_spec(params: &GenCampaignParams) -> SweepSpec {
-    SweepSpec::builder(params.name())
-        .organizations(GEN_CAMPAIGN_ORGS)
+    Ok(vec![at_sm_count(&base, params)
+        .organizations(HEADLINE_ORGS)
         .config_ids([6])
-        .generated_population(params.population_seed, params.population, params.config)
-        .sm_counts([params.sm_count])
-        .seed_mode(params.seed_mode)
+        .generated_population(population_seed, population, bounds)
         .normalize(true)
-        .build()
+        .build()])
 }
 
-/// Parameters of a trace-driven campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceCampaignParams {
-    /// The resolved trace identities the campaign sweeps (path + content
-    /// fingerprint + lowering bounds, in axis order).
-    pub traces: Vec<TraceWorkloadId>,
-    /// SMs per point (trace workloads weak-scale with the SM count exactly
-    /// as suite workloads do — the runner scales each lowered kernel's grid
-    /// and footprint from `ExperimentConfig::sm_count`).
-    pub sm_count: usize,
-    /// Simulation seeding policy.
-    pub seed_mode: SeedMode,
-}
-
-impl TraceCampaignParams {
-    /// Binds the given trace identities to the default campaign policies
-    /// (one SM, the fixed [`CAMPAIGN_SEED`]).
-    #[must_use]
-    pub fn new(traces: Vec<TraceWorkloadId>) -> Self {
-        TraceCampaignParams {
-            traces,
-            sm_count: 1,
-            seed_mode: SeedMode::Fixed(CAMPAIGN_SEED),
-        }
-    }
-
-    /// The campaign (and report file) name: `trace-campaign-t<hex>`, where
-    /// the eight hex digits fingerprint the full trace set (paths, content
-    /// hashes, and lowering bounds), so campaigns over different traces —
-    /// or over an edited trace — never clobber each other's reports. The
-    /// full identities remain readable in the JSON report and the cache-key
-    /// material.
-    #[must_use]
-    pub fn name(&self) -> String {
-        let digest = crate::hash::sha256(
-            serde::Serialize::to_value(&self.traces)
-                .to_json()
-                .as_bytes(),
-        );
-        let base = format!("trace-campaign-t{}", &crate::hash::to_hex(&digest)[..8]);
-        campaign_name(&base, self.sm_count)
-    }
-}
-
-/// A trace-driven campaign: [`GEN_CAMPAIGN_ORGS`] (the paper's headline
-/// BL/LTRF pair) × the lowered trace workloads on configuration #6,
-/// normalized — exactly what `sweep trace-campaign` runs.
-///
-/// # Panics
-///
-/// Panics if `params.traces` is empty (the CLI resolves and validates the
-/// trace files first and reports a friendly error).
-#[must_use]
-pub fn trace_campaign_spec(params: &TraceCampaignParams) -> SweepSpec {
-    SweepSpec::builder(params.name())
-        .organizations(GEN_CAMPAIGN_ORGS)
-        .config_ids([6])
-        .trace_population(params.traces.iter().cloned())
-        .sm_counts([params.sm_count])
-        .seed_mode(params.seed_mode)
-        .normalize(true)
-        .build()
-}
-
-/// Parameters of the interconnect-topology campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InterconnectCampaignParams {
-    /// The topologies the campaign compares, one spec (and one report file)
-    /// per entry, in axis order.
-    pub topologies: Vec<Topology>,
-    /// Link width in bytes per cycle, shared by every non-ideal topology
-    /// swept (the ideal network ignores it).
-    pub link_width: u64,
-    /// Bounded per-link queue depth, shared by every non-ideal topology
-    /// swept (the ideal network ignores it).
-    pub queue_depth: usize,
-    /// The SM-count axis: contention (and therefore topology divergence)
-    /// only appears once enough SMs share the L2, so the default axis
-    /// reaches 16.
-    pub sm_counts: Vec<usize>,
-    /// Simulation seeding policy.
-    pub seed_mode: SeedMode,
-}
-
-impl Default for InterconnectCampaignParams {
-    fn default() -> Self {
-        let network = InterconnectConfig::default();
-        InterconnectCampaignParams {
-            // The headline comparison: the contention-free reference against
-            // the single-stage crossbar. `--topology T` narrows to one.
-            topologies: vec![Topology::Ideal, Topology::Crossbar],
-            link_width: network.link_width,
-            queue_depth: network.queue_depth,
-            sm_counts: vec![1, 4, 16],
-            seed_mode: SeedMode::Fixed(CAMPAIGN_SEED),
-        }
-    }
-}
-
-impl InterconnectCampaignParams {
-    /// The network configuration of one swept topology.
-    #[must_use]
-    pub fn network(&self, topology: Topology) -> InterconnectConfig {
-        let mut config = InterconnectConfig::with_topology(topology);
-        config.link_width = self.link_width;
-        config.queue_depth = self.queue_depth;
-        config
-    }
-
-    /// The campaign (and report file) name of one swept topology:
-    /// `interconnect-<topology>`, suffixed with the link width and queue
-    /// depth when they differ from the defaults so differently provisioned
-    /// sweeps never clobber each other's reports.
-    #[must_use]
-    pub fn spec_name(&self, topology: Topology) -> String {
-        let defaults = InterconnectConfig::default();
-        let mut name = format!("interconnect-{}", topology.label());
-        if self.link_width != defaults.link_width {
-            name.push_str(&format!("-w{}", self.link_width));
-        }
-        if self.queue_depth != defaults.queue_depth {
-            name.push_str(&format!("-q{}", self.queue_depth));
-        }
-        name
-    }
-}
-
-/// The interconnect-topology campaign: LTRF × the given workloads on
-/// configuration #6 across the SM-count axis, un-normalized, one spec per
-/// selected topology — exactly what `sweep interconnect` runs. Single-SM points
-/// never touch the shared network and serve as the contention-free floor of
-/// every topology's curve.
-///
-/// The ideal-topology spec at the default link provisioning carries the
-/// default [`InterconnectConfig`], which is elided from cache-key material —
-/// its points share cache identity with any historical campaign that ran the
-/// same experiment. Every other topology (or any non-default link
-/// width/queue depth) is new key material, so switching `--topology` misses
-/// the cache 100% by construction.
-#[must_use]
-pub fn interconnect_specs<S: Into<String> + Clone>(
-    workloads: &[S],
-    params: &InterconnectCampaignParams,
-) -> Vec<SweepSpec> {
-    params
-        .topologies
+/// The trace identities of `trace-campaign`: every `--trace` file (or the
+/// [`DEFAULT_TRACES`] when none was given), read and fingerprinted, each
+/// parsed and lowered once so a malformed trace is one `--trace`-named
+/// error here rather than a per-point failure per configuration.
+fn traces(params: &CampaignParams) -> Result<Vec<TraceWorkloadId>, String> {
+    let defaults = DEFAULT_TRACES.map(String::from);
+    let paths = if params.trace_paths.is_empty() {
+        &defaults[..]
+    } else {
+        &params.trace_paths[..]
+    };
+    paths
         .iter()
-        .map(|&topology| {
-            SweepSpec::builder(params.spec_name(topology))
-                .workloads(workloads.iter().cloned())
-                .organizations([Organization::Ltrf])
-                .config_ids([6])
-                .sm_counts(params.sm_counts.iter().copied())
-                .seed_mode(params.seed_mode)
-                .normalize(false)
-                .interconnect(params.network(topology))
-                .build()
+        .map(|path| {
+            let id =
+                TraceWorkloadId::from_path(path).map_err(|e| format!("--trace {path}: {e}"))?;
+            id.materialize()
+                .map_err(|e| format!("--trace {path}: {e}"))?;
+            Ok(id)
         })
         .collect()
 }
 
+/// A trace-driven campaign: [`HEADLINE_ORGS`] × the lowered trace workloads
+/// on configuration #6, normalized. The name `trace-campaign-t<hex>`
+/// fingerprints the full trace set (paths, content hashes, and lowering
+/// bounds), so campaigns over different traces — or over an edited trace —
+/// never clobber each other's reports.
+pub(crate) fn trace_campaign(params: &CampaignParams) -> Specs {
+    let traces = traces(params)?;
+    let base = format!("trace-campaign-t{}", fingerprint(&traces));
+    Ok(vec![at_sm_count(&base, params)
+        .organizations(HEADLINE_ORGS)
+        .config_ids([6])
+        .trace_population(traces)
+        .normalize(true)
+        .build()])
+}
+
+/// The interconnect-topology campaign: LTRF × the workloads on
+/// configuration #6 across the SM-count axis (default
+/// [`INTERCONNECT_SM_COUNTS`]), un-normalized, one spec per swept topology
+/// (default [`INTERCONNECT_TOPOLOGIES`]). Single-SM points never touch the
+/// shared network and serve as the contention-free floor of every
+/// topology's curve.
+///
+/// Each spec is named `interconnect-<topology>`, suffixed `-wN`/`-qN` when
+/// the link width or queue depth differs from the default. The ideal spec
+/// at the default provisioning carries the default [`InterconnectConfig`],
+/// which is elided from cache-key material — its points share cache
+/// identity with any historical campaign that ran the same experiment.
+/// Every other topology (or any non-default link width/queue depth) is new
+/// key material, so switching `--topology` misses the cache 100% by
+/// construction.
+pub(crate) fn interconnect(params: &CampaignParams) -> Specs {
+    let defaults = InterconnectConfig::default();
+    let workloads = params.workload_names();
+    let sm_counts = params.sm_count_axis(&INTERCONNECT_SM_COUNTS);
+    let specs = params.topologies().into_iter().map(|topology| {
+        let network = params.network(topology);
+        let mut name = format!("interconnect-{}", topology.label());
+        if network.link_width != defaults.link_width {
+            name.push_str(&format!("-w{}", network.link_width));
+        }
+        if network.queue_depth != defaults.queue_depth {
+            name.push_str(&format!("-q{}", network.queue_depth));
+        }
+        SweepSpec::builder(name)
+            .workloads(workloads.iter().cloned())
+            .organizations([Organization::Ltrf])
+            .config_ids([6])
+            .sm_counts(sm_counts.iter().copied())
+            .seed_mode(params.seed_mode())
+            .normalize(false)
+            .interconnect(network)
+            .build()
+    });
+    Ok(specs.collect())
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+    use crate::cache::point_key;
+    use crate::registry;
+    use crate::spec::SeedMode;
+    use crate::CAMPAIGN_SEED;
+
+    /// The specs the registry row `campaign` builds from `params`.
+    fn specs(campaign: &str, params: &CampaignParams) -> Vec<SweepSpec> {
+        registry()
+            .find(campaign)
+            .expect("registered")
+            .specs(params)
+            .expect("valid parameters")
+    }
+
+    fn quick() -> CampaignParams {
+        CampaignParams {
+            quick: true,
+            ..CampaignParams::default()
+        }
+    }
+
+    fn key_materials(spec: &SweepSpec) -> BTreeSet<String> {
+        spec.points
+            .iter()
+            .map(|p| point_key(spec, p).material)
+            .collect()
+    }
+
+    const QUICK: usize = ltrf_workloads::QUICK_SUBSET.len();
 
     #[test]
     fn fig9_spec_matches_the_published_matrix() {
-        let spec = fig9_spec(["hotspot", "btree"], 1, SeedMode::Fixed(CAMPAIGN_SEED));
+        let [spec] = &specs("fig9", &quick())[..] else {
+            panic!("one spec")
+        };
         assert_eq!(spec.name, "fig9");
-        assert_eq!(spec.points.len(), 2 * 6 * 2, "workloads x orgs x configs");
-        assert!(spec.normalize);
         assert_eq!(
-            fig9_spec(["hotspot"], 4, SeedMode::Fixed(1)).name,
-            "fig9-sm4"
+            spec.points.len(),
+            QUICK * 6 * 2,
+            "workloads x orgs x configs"
         );
+        assert!(spec.normalize);
+        assert_eq!(spec.seed_mode, SeedMode::Fixed(CAMPAIGN_SEED));
+        let multi_sm = CampaignParams {
+            sm_count: Some(4),
+            per_point_seeds: true,
+            ..quick()
+        };
+        let spec = &specs("fig9", &multi_sm)[0];
+        assert_eq!(spec.name, "fig9-sm4");
+        assert_eq!(spec.seed_mode, SeedMode::PerPoint(CAMPAIGN_SEED));
+        assert!(spec.points.iter().all(|p| p.config.sm_count == 4));
     }
 
     #[test]
     fn latency_sweep_specs_match_the_published_matrices() {
         let factors = ltrf_core::paper_latency_factors().len();
-        let workloads = ["hotspot", "btree"];
-        let seed = SeedMode::Fixed(CAMPAIGN_SEED);
 
-        let fig11 = fig11_spec(workloads, 1, seed);
+        let fig11 = &specs("fig11", &quick())[0];
         assert_eq!(fig11.name, "fig11");
-        assert_eq!(fig11.points.len(), 2 * FIG11_ORGS.len() * factors);
+        assert_eq!(fig11.points.len(), QUICK * FIG11_ORGS.len() * factors);
         assert!(!fig11.normalize, "relative-IPC sweeps are un-normalized");
 
-        let fig12 = fig12_spec(workloads, 1, seed);
-        assert_eq!(fig12.points.len(), 2 * factors * FIG12_INTERVAL_SIZES.len());
+        let fig12 = &specs("fig12", &quick())[0];
+        assert_eq!(
+            fig12.points.len(),
+            QUICK * factors * FIG12_INTERVAL_SIZES.len()
+        );
         assert!(fig12
             .points
             .iter()
             .all(|p| p.config.organization == Organization::Ltrf));
 
-        let fig13 = fig13_spec(workloads, 1, seed);
-        assert_eq!(fig13.points.len(), 2 * factors * FIG13_WARP_COUNTS.len());
+        let fig13 = &specs("fig13", &quick())[0];
+        assert_eq!(
+            fig13.points.len(),
+            QUICK * factors * FIG13_WARP_COUNTS.len()
+        );
 
-        let fig14 = fig14_spec(workloads, 4, seed);
+        let four_sms = CampaignParams {
+            sm_count: Some(4),
+            ..quick()
+        };
+        let fig14 = &specs("fig14", &four_sms)[0];
         assert_eq!(fig14.name, "fig14-sm4");
-        assert_eq!(fig14.points.len(), 2 * FIG14_ORGS.len() * factors);
+        assert_eq!(fig14.points.len(), QUICK * FIG14_ORGS.len() * factors);
 
         // The shared-cache overlaps the atlas documents: fig12's
         // 16-registers-per-interval LTRF curve is point-for-point a subset
         // of fig11's LTRF curve.
-        let fig11_materials: std::collections::BTreeSet<String> = fig11
-            .points
-            .iter()
-            .map(|p| crate::cache::point_key(&fig11, p).material)
-            .collect();
+        let fig11_materials = key_materials(fig11);
         let shared = fig12
             .points
             .iter()
             .filter(|p| p.config.registers_per_interval == 16)
-            .filter(|p| fig11_materials.contains(&crate::cache::point_key(&fig12, p).material))
+            .filter(|p| fig11_materials.contains(&point_key(fig12, p).material))
             .count();
-        assert_eq!(shared, 2 * factors, "fig12 rpi=16 points live in fig11 too");
+        assert_eq!(
+            shared,
+            QUICK * factors,
+            "fig12 rpi=16 points live in fig11 too"
+        );
     }
 
     #[test]
     fn power_specs_slice_and_fingerprint() {
-        let workloads = ["hotspot"];
-        let seed = SeedMode::Fixed(CAMPAIGN_SEED);
-        let power = power_sweep_spec(workloads, 1, seed, PowerParams::default());
+        let power = &specs("power", &quick())[0];
         assert_eq!(power.name, "power");
-        assert_eq!(power.points.len(), POWER_ORGS.len() * 7);
+        assert_eq!(power.points.len(), POWER_ORGS.len() * 7 * QUICK);
         assert!(power.normalize);
-        let power_materials: std::collections::BTreeSet<String> = power
-            .points
-            .iter()
-            .map(|p| crate::cache::point_key(&power, p).material)
-            .collect();
+        let power_materials = key_materials(power);
 
         // A non-default calibration fingerprints the report name and changes
         // every cache identity.
-        let recalibrated = power_sweep_spec(
-            workloads,
-            1,
-            seed,
-            PowerParams {
-                base_access_pj: 75.0,
-                ..PowerParams::default()
-            },
-        );
+        let recalibrated = CampaignParams {
+            access_energy_pj: Some(75.0),
+            ..quick()
+        };
+        let recalibrated = &specs("power", &recalibrated)[0];
         assert!(
             recalibrated.name.starts_with("power-p"),
             "calibration fingerprint suffix: {}",
             recalibrated.name
         );
-        assert!(recalibrated.points.iter().all(
-            |p| !power_materials.contains(&crate::cache::point_key(&recalibrated, p).material)
-        ));
+        assert!(recalibrated
+            .points
+            .iter()
+            .all(|p| !power_materials.contains(&point_key(recalibrated, p).material)));
     }
 
     /// `sweep fig3` runs fig9 and `sweep fig4` runs fig14: the specs the
@@ -677,17 +523,12 @@ mod tests {
             .seed_mode(seed)
             .normalize(true)
             .build();
-        let fig9 = fig9_spec(workloads, 1, seed);
-        let fig9_materials: std::collections::BTreeSet<String> = fig9
-            .points
-            .iter()
-            .map(|p| crate::cache::point_key(&fig9, p).material)
-            .collect();
+        let fig9_materials = key_materials(&specs("fig9", &quick())[0]);
         assert_eq!(fig3.points.len(), 2 * workloads.len());
         assert!(fig3
             .points
             .iter()
-            .all(|p| fig9_materials.contains(&crate::cache::point_key(&fig3, p).material)));
+            .all(|p| fig9_materials.contains(&point_key(&fig3, p).material)));
 
         // Figure 4 (RFC/SHRF/LTRF on configuration #1, no latency
         // override) computes exactly what fig14's 1x points compute.
@@ -699,7 +540,7 @@ mod tests {
             .seed_mode(seed)
             .normalize(false)
             .build();
-        let fig14 = fig14_spec(workloads, 1, seed);
+        let fig14 = specs("fig14", &quick()).remove(0);
         let one_x = SweepSpec {
             points: fig14
                 .points
@@ -726,53 +567,68 @@ mod tests {
 
     #[test]
     fn repro_specs_cover_the_artifact_atlas() {
-        let specs = repro_specs(&["hotspot"], 1, SeedMode::Fixed(CAMPAIGN_SEED));
-        let names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
+        // Power knobs never reach repro's artifacts, which are pinned to the
+        // canonical calibration.
+        let recalibrated = CampaignParams {
+            access_energy_pj: Some(75.0),
+            ..quick()
+        };
+        let repro = specs("repro", &recalibrated);
+        let names: Vec<&str> = repro.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             names,
             ["fig9", "fig11", "fig12", "fig13", "fig14", "table2", "power"]
         );
         // Campaign names are report file names; they must be unique so one
         // output directory holds the whole artifact set.
-        let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+        let unique: BTreeSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len());
-        assert!(specs.iter().all(|s| !s.points.is_empty()));
+        assert!(repro.iter().all(|s| !s.points.is_empty()));
+        for (spec, campaign) in repro.iter().zip(&names) {
+            assert_eq!(spec, &specs(campaign, &quick())[0], "{campaign}");
+        }
     }
 
     #[test]
     fn gen_campaign_spec_enumerates_the_population() {
-        let params = GenCampaignParams {
-            population: 5,
-            population_seed: 7,
-            ..GenCampaignParams::default()
+        let params = CampaignParams {
+            population: Some(5),
+            population_seed: Some(7),
+            ..CampaignParams::default()
         };
-        let spec = gen_campaign_spec(&params);
+        let spec = &specs("gen-campaign", &params)[0];
         assert_eq!(spec.name, "gen-campaign-n5-s7");
-        assert_eq!(spec.points.len(), 5 * GEN_CAMPAIGN_ORGS.len());
+        assert_eq!(spec.points.len(), 5 * HEADLINE_ORGS.len());
         assert!(spec.points.iter().all(|p| p.generated.is_some()));
-        let multi_sm = GenCampaignParams {
-            sm_count: 2,
+        let multi_sm = CampaignParams {
+            sm_count: Some(2),
             ..params
         };
-        assert_eq!(multi_sm.name(), "gen-campaign-n5-s7-sm2");
+        assert_eq!(
+            specs("gen-campaign", &multi_sm)[0].name,
+            "gen-campaign-n5-s7-sm2"
+        );
     }
 
     #[test]
     fn trace_campaign_spec_enumerates_the_traces() {
-        use ltrf_trace::LoweringBounds;
-
-        let id = |path: &str, hash: &str| TraceWorkloadId {
-            path: path.to_string(),
-            content_hash: hash.to_string(),
-            bounds: LoweringBounds::default(),
+        let example = |name: &str| {
+            format!(
+                "{}/../../examples/traces/{name}",
+                env!("CARGO_MANIFEST_DIR")
+            )
         };
-        let params = TraceCampaignParams::new(vec![
-            id("examples/traces/straight_line.trace", "cbf29ce484222325"),
-            id("examples/traces/divergent_loop.trace", "0123456789abcdef"),
-        ]);
-        let spec = trace_campaign_spec(&params);
+        let dir = std::env::temp_dir().join(format!("ltrf-trace-names-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let copy = dir.join("straight_line.trace");
+        std::fs::copy(example("straight_line.trace"), &copy).unwrap();
+        let params = CampaignParams {
+            trace_paths: vec![copy.display().to_string(), example("divergent_loop.trace")],
+            ..CampaignParams::default()
+        };
+        let spec = &specs("trace-campaign", &params)[0];
         assert!(spec.name.starts_with("trace-campaign-t"), "{}", spec.name);
-        assert_eq!(spec.points.len(), 2 * GEN_CAMPAIGN_ORGS.len());
+        assert_eq!(spec.points.len(), 2 * HEADLINE_ORGS.len());
         assert!(spec.normalize);
         assert!(spec.points.iter().all(|p| p.trace.is_some()));
         assert!(spec
@@ -782,29 +638,40 @@ mod tests {
 
         // Stable: the same trace set always names the same campaign; an
         // edited trace (new content hash) renames it.
-        assert_eq!(spec.name, trace_campaign_spec(&params).name);
-        let edited = TraceCampaignParams::new(vec![
-            id("examples/traces/straight_line.trace", "ffffffffffffffff"),
-            id("examples/traces/divergent_loop.trace", "0123456789abcdef"),
-        ]);
-        assert_ne!(edited.name(), params.name());
+        assert_eq!(spec.name, specs("trace-campaign", &params)[0].name);
+        let source = std::fs::read_to_string(&copy).unwrap();
+        std::fs::write(&copy, format!("{source}\n")).unwrap();
+        assert_ne!(specs("trace-campaign", &params)[0].name, spec.name);
 
-        let multi_sm = TraceCampaignParams {
-            sm_count: 2,
-            ..params.clone()
+        let multi_sm = CampaignParams {
+            sm_count: Some(2),
+            ..params
         };
-        assert!(multi_sm.name().ends_with("-sm2"), "{}", multi_sm.name());
+        let name = &specs("trace-campaign", &multi_sm)[0].name;
+        assert!(name.ends_with("-sm2"), "{name}");
+
+        // A missing trace is one --trace-named error, not a panic.
+        let missing = CampaignParams {
+            trace_paths: vec![dir.join("absent.trace").display().to_string()],
+            ..CampaignParams::default()
+        };
+        let complaint = registry()
+            .find("trace-campaign")
+            .unwrap()
+            .specs(&missing)
+            .unwrap_err();
+        assert!(complaint.starts_with("--trace "), "{complaint}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn interconnect_specs_sweep_one_spec_per_topology() {
-        let params = InterconnectCampaignParams::default();
-        let specs = interconnect_specs(&["hotspot", "btree"], &params);
-        assert_eq!(specs.len(), 2, "one spec per topology");
-        assert_eq!(specs[0].name, "interconnect-ideal");
-        assert_eq!(specs[1].name, "interconnect-crossbar");
-        for spec in &specs {
-            assert_eq!(spec.points.len(), 2 * params.sm_counts.len());
+        let topologies = specs("interconnect", &quick());
+        assert_eq!(topologies.len(), 2, "one spec per topology");
+        assert_eq!(topologies[0].name, "interconnect-ideal");
+        assert_eq!(topologies[1].name, "interconnect-crossbar");
+        for spec in &topologies {
+            assert_eq!(spec.points.len(), QUICK * INTERCONNECT_SM_COUNTS.len());
             assert!(!spec.normalize);
             assert!(spec
                 .points
@@ -814,58 +681,55 @@ mod tests {
         // The ideal spec at default provisioning carries the default
         // network (elided from cache keys); the crossbar spec's identity
         // differs on every point.
-        assert!(specs[0]
+        assert!(topologies[0]
             .points
             .iter()
             .all(|p| p.config.interconnect == InterconnectConfig::default()));
-        let ideal_materials: std::collections::BTreeSet<String> = specs[0]
+        let ideal_materials = key_materials(&topologies[0]);
+        assert!(topologies[1]
             .points
             .iter()
-            .map(|p| crate::cache::point_key(&specs[0], p).material)
-            .collect();
-        assert!(specs[1]
-            .points
-            .iter()
-            .all(|p| !ideal_materials.contains(&crate::cache::point_key(&specs[1], p).material)));
+            .all(|p| !ideal_materials.contains(&point_key(&topologies[1], p).material)));
 
-        // Non-default provisioning fingerprints the report names.
-        let provisioned = InterconnectCampaignParams {
-            topologies: vec![Topology::Mesh2D],
-            link_width: 16,
-            queue_depth: 4,
-            ..InterconnectCampaignParams::default()
+        // Non-default provisioning fingerprints the report names; an
+        // explicit default does not.
+        let provisioned = CampaignParams {
+            topology: Some(Topology::Mesh2D),
+            link_width: Some(16),
+            queue_depth: Some(4),
+            ..quick()
         };
-        assert_eq!(
-            provisioned.spec_name(Topology::Mesh2D),
-            "interconnect-mesh-w16-q4"
-        );
-        let mesh = interconnect_specs(&["hotspot"], &provisioned);
+        let mesh = specs("interconnect", &provisioned);
         assert_eq!(mesh.len(), 1);
+        assert_eq!(mesh[0].name, "interconnect-mesh-w16-q4");
         assert!(mesh[0]
             .points
             .iter()
             .all(|p| p.config.interconnect.link_width == 16
                 && p.config.interconnect.queue_depth == 4));
+        let explicit_defaults = CampaignParams {
+            link_width: Some(32),
+            queue_depth: Some(8),
+            ..quick()
+        };
+        assert_eq!(specs("interconnect", &explicit_defaults), topologies);
     }
 
     #[test]
     fn non_default_bounds_fingerprint_the_campaign_name() {
-        let default_bounds = GenCampaignParams::default();
-        assert_eq!(default_bounds.name(), "gen-campaign-n64-s401743896");
-        let narrowed = GenCampaignParams {
-            config: GeneratorConfig {
-                max_regs: 96,
-                ..GeneratorConfig::default()
-            },
-            ..GenCampaignParams::default()
+        let default_bounds = &specs("gen-campaign", &CampaignParams::default())[0].name;
+        assert_eq!(default_bounds, "gen-campaign-n64-s401743896");
+        let narrowed = CampaignParams {
+            max_regs: Some(96),
+            ..CampaignParams::default()
         };
-        let name = narrowed.name();
+        let name = &specs("gen-campaign", &narrowed)[0].name;
         assert!(
             name.starts_with("gen-campaign-n64-s401743896-c"),
             "bounds fingerprint suffix: {name}"
         );
-        assert_ne!(name, default_bounds.name());
+        assert_ne!(name, default_bounds);
         // Stable: the same bounds always fingerprint identically.
-        assert_eq!(name, narrowed.name());
+        assert_eq!(name, &specs("gen-campaign", &narrowed)[0].name);
     }
 }

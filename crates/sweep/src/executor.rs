@@ -81,7 +81,7 @@ impl PointOutcome {
 
     /// Whether the point failed (error or panic).
     #[must_use]
-    pub fn is_failure(&self) -> bool {
+    pub(crate) fn is_failure(&self) -> bool {
         !matches!(self, PointOutcome::Ok(_))
     }
 }
@@ -192,7 +192,7 @@ pub struct PointMeans {
 /// folds `PointFinished` records into, so summary statistics never require
 /// the full row set in memory.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PointMeansAcc {
+pub(crate) struct PointMeansAcc {
     count: usize,
     ipc: f64,
     normalized_ipc: f64,
@@ -212,12 +212,6 @@ impl PointMeansAcc {
         self.dram_row_hit_rate += data.result.stats.memory.dram.row_hit_rate();
         self.l2_queue_wait += data.result.stats.memory.l2_queue_wait_cycles as f64;
         self.noc_latency += data.result.stats.memory.noc.mean_latency();
-    }
-
-    /// Number of points folded in so far.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.count
     }
 
     /// The means over everything pushed; `None` when nothing was.
@@ -249,7 +243,7 @@ impl PointMeansAcc {
 /// every returned mean averages the same workload set. Returns `None` when
 /// no workload has a complete curve. `factors` must contain `1.0` for any
 /// curve to be complete.
-pub fn relative_ipc_series<F>(
+pub(crate) fn relative_ipc_series<F>(
     results: &SweepResults,
     factors: &[f64],
     select: F,
@@ -315,12 +309,10 @@ pub struct ExecutorOptions {
 /// `index` is its position in [`SweepSpec::points`]).
 ///
 /// Sinks are how streaming campaigns bound their memory: a
-/// [`StreamingCsvWriter`](crate::stream::StreamingCsvWriter) writes each row
-/// to disk as it completes and an
-/// [`AggregateSink`](crate::stream::AggregateSink) folds each record into
-/// running per-config statistics, so neither needs the full row set. Every
-/// point reaches the sink exactly once, including failures (panic-isolated
-/// fallbacks included).
+/// [`StreamingCsvWriter`](crate::StreamingCsvWriter) writes each row to disk
+/// as it completes, so it never needs the full row set. Every point reaches
+/// the sink exactly once, including failures (panic-isolated fallbacks
+/// included).
 pub trait RecordSink: Sync {
     /// Called once per completed point.
     fn on_record(&self, index: usize, record: &PointRecord);
@@ -668,8 +660,7 @@ impl<'a> CampaignSession<'a> {
     /// sinks (not the point count). Returns the provenance totals only.
     ///
     /// This is the 10k+-point entry point — pair it with a
-    /// [`StreamingCsvWriter`](crate::stream::StreamingCsvWriter) and/or an
-    /// [`AggregateSink`](crate::stream::AggregateSink). Failure semantics
+    /// [`StreamingCsvWriter`](crate::StreamingCsvWriter). Failure semantics
     /// match [`run`](CampaignSession::run).
     pub fn run_streaming(
         &self,
@@ -1322,6 +1313,6 @@ mod tests {
     #[test]
     fn point_means_acc_is_none_when_empty() {
         assert_eq!(PointMeansAcc::default().finish(), None);
-        assert_eq!(PointMeansAcc::default().count(), 0);
+        assert_eq!(PointMeansAcc::default().count, 0);
     }
 }

@@ -16,7 +16,7 @@ use ltrf_workloads::{evaluated_suite, quick_suite, unconstrained_register_demand
 /// The workloads an artifact covers: the four-workload quick subset (two
 /// register-sensitive, two insensitive) or the full evaluated suite.
 #[must_use]
-pub fn suite(quick: bool) -> Vec<Workload> {
+pub(crate) fn suite(quick: bool) -> Vec<Workload> {
     if quick {
         quick_suite()
     } else {
@@ -43,7 +43,7 @@ fn per_workload<R: Send>(
 /// Table 1: the register-file capacity each architecture needs to run the
 /// screening suite at maximum TLP, Fermi first, then Maxwell.
 #[must_use]
-pub fn table1() -> Vec<CapacityRequirement> {
+pub(crate) fn table1() -> Vec<CapacityRequirement> {
     let demands = unconstrained_register_demands();
     [GpuArchitecture::fermi(), GpuArchitecture::maxwell()]
         .into_iter()
@@ -66,7 +66,7 @@ pub struct Table4Row {
 /// # Errors
 ///
 /// Names the first workload that does not compile.
-pub fn table4(quick: bool) -> Result<Vec<Table4Row>, String> {
+pub(crate) fn table4(quick: bool) -> Result<Vec<Table4Row>, String> {
     per_workload(&suite(quick), |w, compiled| Table4Row {
         workload: w.name(),
         report: interval_length_report(
@@ -84,7 +84,7 @@ pub fn table4(quick: bool) -> Result<Vec<Table4Row>, String> {
 /// # Errors
 ///
 /// Names the first workload that does not compile.
-pub fn overheads(quick: bool) -> Result<OverheadReport, String> {
+pub(crate) fn overheads(quick: bool) -> Result<OverheadReport, String> {
     let overheads = per_workload(&suite(quick), |_, compiled| {
         compiled.stats.code_size_overhead
     })?;

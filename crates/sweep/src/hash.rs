@@ -79,7 +79,7 @@ fn compress(state: &mut [u32; 8], block: &[u8]) {
 
 /// Computes the SHA-256 digest of `data`.
 #[must_use]
-pub fn sha256(data: &[u8]) -> [u8; 32] {
+pub(crate) fn sha256(data: &[u8]) -> [u8; 32] {
     let mut state = H0;
     let mut blocks = data.chunks_exact(64);
     for block in blocks.by_ref() {
@@ -111,7 +111,7 @@ pub fn sha256_hex(data: &[u8]) -> String {
 
 /// Renders a digest as lowercase hex.
 #[must_use]
-pub fn to_hex(digest: &[u8; 32]) -> String {
+pub(crate) fn to_hex(digest: &[u8; 32]) -> String {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(64);
     for &byte in digest {
@@ -131,7 +131,7 @@ pub fn to_hex(digest: &[u8; 32]) -> String {
 /// folded in first, and the zero-padded tail is the last word. This is an on-disk format: [`crate::packed`] records it in
 /// every index line, so changing the function orphans every cache entry.
 #[must_use]
-pub fn checksum64(data: &[u8]) -> u64 {
+pub(crate) fn checksum64(data: &[u8]) -> u64 {
     const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
     const SEED: u64 = 0x4c54_5246_5041_434b; // "LTRFPACK"
     let step = |state: u64, word: u64| (state ^ word).wrapping_mul(MUL).rotate_left(29);
@@ -154,7 +154,7 @@ pub fn checksum64(data: &[u8]) -> u64 {
 
 /// Folds a digest into a 64-bit seed (the first eight digest bytes).
 #[must_use]
-pub fn digest_to_seed(digest: &[u8; 32]) -> u64 {
+pub(crate) fn digest_to_seed(digest: &[u8; 32]) -> u64 {
     let mut bytes = [0u8; 8];
     bytes.copy_from_slice(&digest[..8]);
     u64::from_be_bytes(bytes)

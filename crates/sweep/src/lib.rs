@@ -7,8 +7,7 @@
 //!
 //! * [`SweepSpec`] / [`SweepSpecBuilder`] enumerate arbitrary cross-products
 //!   over [`ltrf_core::Organization`], workload selections (the evaluated
-//!   suite and/or generated populations — see
-//!   [`SweepSpecBuilder::generated_population`]),
+//!   suite, generated populations or lowered traces),
 //!   [`ltrf_core::ExperimentConfig`] design points, latency factors, SM
 //!   counts (full-GPU campaigns with shared-L2/DRAM contention), and
 //!   memory-behaviour variants;
@@ -21,8 +20,8 @@
 //!   `--progress json` mode are observers); [`run_sweep`] is the thin
 //!   batch wrapper for callers that only want the final results, while
 //!   [`CampaignSession::run_streaming`] pushes completed records into
-//!   [`RecordSink`]s (streaming CSV, running aggregates — see [`stream`])
-//!   without retaining them;
+//!   [`RecordSink`]s (such as the [`StreamingCsvWriter`]) without retaining
+//!   them;
 //! * [`ResultCache`] content-addresses outcomes (SHA-256 of the canonical
 //!   point encoding, which includes `sm_count`) so re-running a figure only
 //!   recomputes changed points — and, since every point is stored as it
@@ -43,19 +42,17 @@
 //!   suite, and `trace-campaign`, which ingests accelsim-style kernel trace
 //!   files (`--trace`, repeatable; the `ltrf-trace` frontend lowers each
 //!   dynamic PC stream back into a CFG with recovered branch behaviors) and
-//!   sweeps the lowered kernels under BL and LTRF — see
-//!   [`SweepSpecBuilder::trace_population`] and
-//!   [`campaigns::TraceCampaignParams`];
-//! * [`campaigns`] holds the canonical spec constructors — exactly one
-//!   definition per paper artifact — and [`api`] wraps them in the campaign
-//!   registry: typed [`Campaign`] definitions (name/aliases, parameter
-//!   schema, artifact kind, summary renderer) that the CLI *generates* its
-//!   subcommands, `--help` text, and flag scoping from, and that the
-//!   registry/golden/differential regression tests pin against
-//!   `REPRODUCING.md`. The analytical artifacts (Table 1, Figure 2,
-//!   Table 3, Table 4, the §4.3 overheads) are registry entries too, whose
-//!   renderers live in [`analytical`] and whose rows [`experiments`]
-//!   computes.
+//!   sweeps the lowered kernels under BL and LTRF;
+//! * [`api`] is the campaign registry: typed [`Campaign`] definitions
+//!   (name/aliases, parameter schema, artifact kind, spec constructor,
+//!   summary renderer), each building its specs from one [`CampaignParams`]
+//!   through exactly one constructor per artifact. The CLI *generates* its
+//!   subcommands, `--help` text, and flag scoping from the registry, and
+//!   the registry/golden/differential regression tests reach every
+//!   campaign through it and pin it against `REPRODUCING.md`. The
+//!   analytical artifacts (Table 1, Figure 2, Table 3, Table 4, the §4.3
+//!   overheads) are registry entries too, which print a table and simulate
+//!   nothing.
 //!
 //! `REPRODUCING.md` at the repository root maps every artifact to its
 //! command, runtime, CSV schema, and cache behaviour.
@@ -76,41 +73,39 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analytical;
+mod analytical;
 pub mod api;
-pub mod cache;
-pub mod campaigns;
-pub mod executor;
-pub mod experiments;
+mod cache;
+mod campaigns;
+mod executor;
+mod experiments;
 pub mod hash;
 pub mod out;
-pub mod packed;
-pub mod pool;
+mod packed;
+mod pool;
 mod reference;
 pub mod report;
-pub mod spec;
-pub mod stream;
+mod spec;
+mod stream;
 
 /// The fixed campaign seed shared by every driver of the engine, so their
 /// cached points are interchangeable. There is deliberately exactly one
 /// copy of this literal in the workspace.
-pub const CAMPAIGN_SEED: u64 = 0x17F2_2018;
+pub(crate) const CAMPAIGN_SEED: u64 = 0x17F2_2018;
 
 pub use api::{registry, ArtifactKind, Campaign, CampaignParams, CampaignRegistry, ParamSpec};
 pub use cache::{point_key, PointKey, ResultCache, CACHE_SCHEMA_VERSION, ENGINE_FINGERPRINT};
-pub use campaigns::{GenCampaignParams, InterconnectCampaignParams, TraceCampaignParams};
 pub use executor::{
-    relative_ipc_series, run_sweep, CampaignEvent, CampaignObserver, CampaignSession,
-    CampaignTotals, EventLog, ExecutorOptions, FanoutSink, PointData, PointMeans, PointMeansAcc,
-    PointOutcome, PointRecord, RecordSink, SweepResults, Unobserved,
+    run_sweep, CampaignEvent, CampaignObserver, CampaignSession, CampaignTotals, EventLog,
+    ExecutorOptions, FanoutSink, PointData, PointMeans, PointOutcome, PointRecord, RecordSink,
+    SweepResults, Unobserved,
 };
 pub use ltrf_trace::{LoweringBounds, TraceWorkloadId};
-pub use packed::PackedStore;
 pub use pool::{default_threads, parallel_map};
 pub use spec::{
     GeneratedWorkload, MemorySelection, SeedMode, SweepPoint, SweepSpec, SweepSpecBuilder,
 };
-pub use stream::{AggregateSink, MemberTail, RunningAggregates, StreamingCsvWriter};
+pub use stream::{RunningAggregates, StreamingCsvWriter};
 
 /// Cache-hit percentage floored to one decimal place: "100.0" only when
 /// literally every point was a hit — the CI smoke jobs grep for it, and

@@ -44,7 +44,7 @@ use crate::hash::checksum64;
 
 /// A segment rolls over once its payload bytes pass this threshold, bounding
 /// the cost of reading (or shipping) any single file.
-pub const SEGMENT_ROLL_BYTES: u64 = 4 * 1024 * 1024;
+pub(crate) const SEGMENT_ROLL_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Frame marker leading every packed entry.
 const FRAME_MAGIC: &str = "LTRF1";
@@ -98,7 +98,7 @@ struct SegmentWriter {
 
 /// An append-only packed store of digest-addressed payloads.
 #[derive(Debug)]
-pub struct PackedStore {
+pub(crate) struct PackedStore {
     dir: PathBuf,
     index: Mutex<HashMap<String, Span>>,
     writer: Mutex<Option<SegmentWriter>>,
@@ -269,12 +269,6 @@ impl PackedStore {
     pub fn len(&self) -> usize {
         self.index.lock().expect("packed index poisoned").len()
     }
-
-    /// Whether the store holds no reachable entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -363,7 +357,7 @@ mod tests {
         fs::write(&idx, legacy).unwrap();
         let reopened = PackedStore::open(&dir).unwrap();
         assert!(reopened.load("aa").is_none());
-        assert!(reopened.is_empty());
+        assert_eq!(reopened.len(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

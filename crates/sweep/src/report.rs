@@ -164,7 +164,7 @@ fn memory_label(memory: MemorySelection) -> &'static str {
 
 /// The CSV header row (no trailing newline): [`CSV_COLUMNS`] joined.
 #[must_use]
-pub fn csv_header() -> String {
+pub(crate) fn csv_header() -> String {
     CSV_COLUMNS.join(",")
 }
 
@@ -175,7 +175,7 @@ pub fn csv_header() -> String {
 /// [`StreamingCsvWriter`](crate::stream::StreamingCsvWriter), so the two
 /// emit byte-identical rows by construction.
 #[must_use]
-pub fn csv_row(record: &PointRecord) -> String {
+pub(crate) fn csv_row(record: &PointRecord) -> String {
     let point = &record.point;
     let (status, error) = match &record.outcome {
         PointOutcome::Ok(_) => ("ok", String::new()),
@@ -231,9 +231,8 @@ pub fn csv_row(record: &PointRecord) -> String {
 /// baseline-relative reporting convention. `REPRODUCING.md` documents every
 /// column.
 ///
-/// Composed from [`csv_header`] and [`csv_row`]; campaigns too large to
-/// retain their rows stream the same bytes through a
-/// [`StreamingCsvWriter`](crate::stream::StreamingCsvWriter) instead.
+/// Campaigns too large to retain their rows stream the same bytes through a
+/// [`StreamingCsvWriter`](crate::StreamingCsvWriter) instead.
 #[must_use]
 pub fn to_csv(results: &SweepResults) -> String {
     let mut out = csv_header();

@@ -211,16 +211,6 @@ impl SweepSpecBuilder {
         self
     }
 
-    /// Sets the workload axis to the full evaluated suite.
-    #[must_use]
-    pub fn full_suite(self) -> Self {
-        let names: Vec<String> = ltrf_workloads::evaluated_suite()
-            .iter()
-            .map(|w| w.name().to_string())
-            .collect();
-        self.workloads(names)
-    }
-
     /// Sets the workload axis to a generated population: the first `count`
     /// members of the population seeded `population_seed`, drawn under
     /// `config`. May be combined with named suite workloads; the population
@@ -231,7 +221,7 @@ impl SweepSpecBuilder {
     /// Panics if `config` fails [`GeneratorConfig::validate`] or `count` is
     /// zero — static campaign-definition bugs, not runtime conditions.
     #[must_use]
-    pub fn generated_population(
+    pub(crate) fn generated_population(
         mut self,
         population_seed: u64,
         count: usize,
@@ -260,7 +250,10 @@ impl SweepSpecBuilder {
     /// (or fails to parse/lower) surfaces as a per-point failure rather than
     /// a stale result.
     #[must_use]
-    pub fn trace_population(mut self, traces: impl IntoIterator<Item = TraceWorkloadId>) -> Self {
+    pub(crate) fn trace_population(
+        mut self,
+        traces: impl IntoIterator<Item = TraceWorkloadId>,
+    ) -> Self {
         self.trace_population = traces.into_iter().collect();
         self
     }
@@ -275,21 +268,24 @@ impl SweepSpecBuilder {
     /// Sets the latency-factor axis. `None` keeps a design point's
     /// calibrated factor; `Some(f)` overrides it (Figures 11–14).
     #[must_use]
-    pub fn latency_factors(mut self, factors: impl IntoIterator<Item = Option<f64>>) -> Self {
+    pub(crate) fn latency_factors(
+        mut self,
+        factors: impl IntoIterator<Item = Option<f64>>,
+    ) -> Self {
         self.latency_factors = factors.into_iter().collect();
         self
     }
 
     /// Sets the registers-per-interval axis (Figure 12).
     #[must_use]
-    pub fn registers_per_interval(mut self, sizes: impl IntoIterator<Item = usize>) -> Self {
+    pub(crate) fn registers_per_interval(mut self, sizes: impl IntoIterator<Item = usize>) -> Self {
         self.registers_per_interval = sizes.into_iter().collect();
         self
     }
 
     /// Sets the active-warp axis (Figure 13).
     #[must_use]
-    pub fn active_warps(mut self, warps: impl IntoIterator<Item = usize>) -> Self {
+    pub(crate) fn active_warps(mut self, warps: impl IntoIterator<Item = usize>) -> Self {
         self.active_warps = warps.into_iter().collect();
         self
     }
@@ -322,7 +318,7 @@ impl SweepSpecBuilder {
     /// campaign-definition bug, not a runtime condition (the CLI validates
     /// first and reports a friendly error).
     #[must_use]
-    pub fn power_params(mut self, params: PowerParams) -> Self {
+    pub(crate) fn power_params(mut self, params: PowerParams) -> Self {
         if let Err(complaint) = params.validate() {
             panic!(
                 "sweep `{}`: invalid power calibration: {complaint}",
@@ -335,12 +331,12 @@ impl SweepSpecBuilder {
 
     /// Sets the SM↔L2 interconnect configuration every point runs under
     /// (the `sweep interconnect` knobs; defaults to the `Ideal` topology).
-    /// Campaign-wide like [`Self::power_params`]: the configuration threads
+    /// Campaign-wide like the power calibration: the configuration threads
     /// into every point's [`ExperimentConfig`], where any non-default field
     /// becomes cache-key material (the default is elided, keeping
     /// pre-interconnect keys stable).
     #[must_use]
-    pub fn interconnect(mut self, interconnect: InterconnectConfig) -> Self {
+    pub(crate) fn interconnect(mut self, interconnect: InterconnectConfig) -> Self {
         self.interconnect = interconnect;
         self
     }
@@ -383,8 +379,8 @@ impl SweepSpecBuilder {
         }
         assert!(
             !workload_axis.is_empty(),
-            "sweep `{}` has no workloads; call workloads(), full_suite(), generated_population(), \
-             or trace_population()",
+            "sweep `{}` has no workloads; call workloads(), generated_population(), or \
+             trace_population()",
             self.name
         );
         let axis_len = self.organizations.len()

@@ -1,16 +1,13 @@
-//! Streaming record sinks: bounded-memory CSV emission and running
-//! per-config aggregates.
+//! Bounded-memory CSV emission and the per-config aggregates the campaign
+//! summaries read.
 //!
-//! Both sinks receive completed [`PointRecord`]s from the executor's worker
-//! threads in *completion* order and internally reorder them into *spec*
-//! order through a small buffer (bounded by the workers' completion skew,
-//! roughly the thread count — never the campaign size). That reordering is
-//! what makes streaming output deterministic: the CSV a
-//! [`StreamingCsvWriter`] emits is byte-identical to
-//! [`report::to_csv`] over retained results, and the
-//! statistics an [`AggregateSink`] folds see points in exactly the order the
-//! batch aggregations iterate them, so float accumulation and tie-breaking
-//! agree to the last bit.
+//! The [`StreamingCsvWriter`] receives completed [`PointRecord`]s from the
+//! executor's worker threads in *completion* order and reorders them into
+//! *spec* order through a small buffer (bounded by the workers' completion
+//! skew, roughly the thread count — never the campaign size). That
+//! reordering is what makes streaming output deterministic: the CSV it
+//! emits is byte-identical to [`report::to_csv`] over retained results.
+//! [`RunningAggregates`] folds retained results in spec order.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -42,9 +39,9 @@ struct CsvState {
 /// A [`RecordSink`] that writes each point's CSV row to disk as the point
 /// completes, in spec order, without ever materializing the full row set.
 ///
-/// Rows are rendered with [`report::csv_row`] — the
-/// same renderer the batch [`to_csv`](crate::report::to_csv) uses — so the
-/// streamed file is byte-identical to the batch one by construction.
+/// Rows are rendered by the same [`report::CsvSchema`] the batch
+/// [`to_csv`](crate::report::to_csv) uses, so the streamed file is
+/// byte-identical to the batch one by construction.
 pub struct StreamingCsvWriter {
     state: Mutex<CsvState>,
 }
@@ -125,15 +122,14 @@ impl RecordSink for StreamingCsvWriter {
 }
 
 // ---------------------------------------------------------------------------
-// Running aggregates
+// Campaign aggregates
 // ---------------------------------------------------------------------------
 
 /// The LTRF generated-population tail statistics `sweep gen-campaign`
-/// summarizes, folded online. Tie-breaking matches the batch path's stable
-/// ascending sort over spec-ordered members: `worst` keeps the *earliest*
-/// member among equal minima, `best` the *latest* among equal maxima.
+/// summarizes, folded in spec order: `worst` keeps the *earliest* member
+/// among equal minima, `best` the *latest* among equal maxima.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MemberTail {
+pub(crate) struct MemberTail {
     /// Number of LTRF members with a normalized IPC.
     pub count: usize,
     /// Members LTRF sped up (normalized IPC above 1.0).
@@ -162,15 +158,13 @@ impl MemberTail {
     }
 }
 
-/// Per-config summary statistics folded from a record stream — what the
-/// campaign renderers read instead of the full row set.
+/// Per-config summary statistics folded from a campaign's records in spec
+/// order — what the campaign renderers print.
 ///
-/// Holds one [`PointMeansAcc`] per `(sm_count, organization)` cell plus the
+/// Holds one running mean per `(sm_count, organization)` cell plus the
 /// gen-campaign LTRF member tail and the per-trace LTRF normalizations, so
 /// its memory is bounded by the number of *configurations* (and traces),
-/// never the point count. Push order must be spec order for bit-identical
-/// agreement with the batch aggregations; the [`AggregateSink`] guarantees
-/// that.
+/// never the point count.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunningAggregates {
     cells: Vec<(usize, Organization, PointMeansAcc)>,
@@ -181,7 +175,7 @@ pub struct RunningAggregates {
 impl RunningAggregates {
     /// Folds one completed record in; failures contribute nothing (the
     /// batch aggregations iterate successes only).
-    pub fn push(&mut self, record: &PointRecord) {
+    fn push(&mut self, record: &PointRecord) {
         let Some(data) = record.outcome.data() else {
             return;
         };
@@ -209,8 +203,7 @@ impl RunningAggregates {
         }
     }
 
-    /// Folds retained results in record (= spec) order: the batch reference
-    /// the streamed aggregates must equal.
+    /// Folds a campaign's records in record (= spec) order.
     #[must_use]
     pub fn from_results(results: &SweepResults) -> Self {
         let mut agg = RunningAggregates::default();
@@ -246,71 +239,15 @@ impl RunningAggregates {
 
     /// The gen-campaign LTRF member tail (wins, best, worst).
     #[must_use]
-    pub fn ltrf_member_tail(&self) -> MemberTail {
+    pub(crate) fn ltrf_member_tail(&self) -> MemberTail {
         self.ltrf_members
     }
 
     /// Per-trace LTRF normalized IPC, in spec order (one entry per
     /// successful LTRF trace point).
     #[must_use]
-    pub fn ltrf_trace_norms(&self) -> &[(String, f64)] {
+    pub(crate) fn ltrf_trace_norms(&self) -> &[(String, f64)] {
         &self.trace_norms
-    }
-}
-
-struct AggState {
-    next: usize,
-    pending: BTreeMap<usize, PointRecord>,
-    agg: RunningAggregates,
-}
-
-/// A [`RecordSink`] that folds completed records into [`RunningAggregates`]
-/// in spec order (reordering through a completion-skew-bounded buffer, like
-/// the CSV writer).
-pub struct AggregateSink {
-    state: Mutex<AggState>,
-}
-
-impl Default for AggregateSink {
-    fn default() -> Self {
-        AggregateSink::new()
-    }
-}
-
-impl AggregateSink {
-    /// Creates an empty aggregator.
-    #[must_use]
-    pub fn new() -> Self {
-        AggregateSink {
-            state: Mutex::new(AggState {
-                next: 0,
-                pending: BTreeMap::new(),
-                agg: RunningAggregates::default(),
-            }),
-        }
-    }
-
-    /// The aggregates folded from everything sunk so far.
-    #[must_use]
-    pub fn finish(self) -> RunningAggregates {
-        self.state
-            .into_inner()
-            .expect("aggregate sink poisoned")
-            .agg
-    }
-}
-
-impl RecordSink for AggregateSink {
-    fn on_record(&self, index: usize, record: &PointRecord) {
-        let mut state = self.state.lock().expect("aggregate sink poisoned");
-        state.pending.insert(index, record.clone());
-        while let Some(record) = {
-            let next = state.next;
-            state.pending.remove(&next)
-        } {
-            state.agg.push(&record);
-            state.next += 1;
-        }
     }
 }
 
@@ -366,16 +303,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[test]
-    fn aggregate_sink_reorders_into_spec_order() {
-        let results = synthetic_results();
-        let sink = AggregateSink::new();
-        for &index in &[1usize, 2, 0] {
-            sink.on_record(index, &results.records[index]);
-        }
-        assert_eq!(sink.finish(), RunningAggregates::from_results(&results));
-    }
-
     /// The reorder buffer is bounded by the workers' completion skew; its
     /// worst case is fully reversed delivery, where the buffer must hold
     /// exactly `points - 1` rows before row 0 arrives and unblocks the
@@ -416,20 +343,6 @@ mod tests {
         let streamed = std::fs::read_to_string(&path).unwrap();
         assert_eq!(streamed, report::to_csv(&results));
         let _ = std::fs::remove_file(&path);
-    }
-
-    /// The same boundary for [`AggregateSink`]: fully reversed delivery
-    /// must fold to exactly the batch aggregates.
-    #[test]
-    fn aggregate_sink_survives_skew_equal_to_its_capacity() {
-        let names: Vec<String> = (0..8).map(|i| format!("skew-wl-{i}")).collect();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let results = synthetic_results_for(&refs);
-        let sink = AggregateSink::new();
-        for index in (0..results.records.len()).rev() {
-            sink.on_record(index, &results.records[index]);
-        }
-        assert_eq!(sink.finish(), RunningAggregates::from_results(&results));
     }
 
     /// Live end-to-end pin: `run_streaming` with as many worker threads as

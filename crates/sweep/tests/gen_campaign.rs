@@ -4,30 +4,27 @@
 
 use std::path::PathBuf;
 
-use ltrf_sweep::campaigns::{gen_campaign_spec, GenCampaignParams};
-use ltrf_sweep::{report, run_sweep, ExecutorOptions, SeedMode};
-use ltrf_workloads::{GeneratorConfig, WorkloadGenerator};
+use ltrf_sweep::{registry, report, run_sweep, CampaignParams, ExecutorOptions, SweepSpec};
+use ltrf_workloads::WorkloadGenerator;
 
-/// Small, fast generator bounds for the integration campaigns.
-fn test_bounds() -> GeneratorConfig {
-    GeneratorConfig {
-        min_regs: 12,
-        max_regs: 64,
-        max_outer_trips: 3,
-        max_inner_trips: 6,
-        max_body_alu: 6,
-        max_body_loads: 2,
+/// A three-member population under small, fast generator bounds.
+fn test_params(population_seed: u64) -> CampaignParams {
+    CampaignParams {
+        population: Some(3),
+        population_seed: Some(population_seed),
+        min_regs: Some(12),
+        max_regs: Some(64),
+        max_outer_trips: Some(3),
+        max_inner_trips: Some(6),
+        max_body_alu: Some(6),
+        max_body_loads: Some(2),
+        ..CampaignParams::default()
     }
 }
 
-fn test_params(population_seed: u64) -> GenCampaignParams {
-    GenCampaignParams {
-        population: 3,
-        population_seed,
-        config: test_bounds(),
-        sm_count: 1,
-        seed_mode: SeedMode::Fixed(2018),
-    }
+fn gen_campaign_spec(params: &CampaignParams) -> SweepSpec {
+    let gen = registry().find("gen-campaign").unwrap();
+    gen.specs(params).unwrap().remove(0)
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -81,11 +78,8 @@ fn warm_rerun_hits_fully_and_a_new_seed_misses_fully() {
     );
 
     // Changing only a generator bound misses as well.
-    let widened_spec = gen_campaign_spec(&GenCampaignParams {
-        config: GeneratorConfig {
-            max_regs: 65,
-            ..test_bounds()
-        },
+    let widened_spec = gen_campaign_spec(&CampaignParams {
+        max_regs: Some(65),
         ..test_params(7)
     });
     let widened = run_sweep(&widened_spec, &options);

@@ -1,10 +1,9 @@
 //! Golden-file regression test for the `sweep fig12` CSV output.
 //!
-//! The campaign spec comes from the same canonical constructor the CLI
-//! uses ([`ltrf_sweep::campaigns::fig12_spec`]),
-//! over the CLI's `--quick` workload subset with the fixed campaign seed —
-//! so the committed fixture pins the exact rows `sweep fig12 --quick`
-//! emits. Figure 12 exercises axes the fig9 golden file does not (the
+//! The campaign spec comes from the registry row the CLI dispatches to,
+//! with `--quick`'s parameters (the four-workload subset and the fixed
+//! campaign seed) — so the committed fixture pins the exact rows `sweep
+//! fig12 --quick` emits. Figure 12 exercises axes the fig9 golden file does not (the
 //! latency-factor and registers-per-interval cross-product, un-normalized
 //! relative-IPC reporting), so together the two fixtures cover both spec
 //! shapes the artifact atlas is built from.
@@ -18,9 +17,7 @@
 
 use std::path::PathBuf;
 
-use ltrf_sweep::campaigns::fig12_spec;
-use ltrf_sweep::{report, run_sweep, ExecutorOptions, SeedMode, CAMPAIGN_SEED};
-use ltrf_workloads::QUICK_SUBSET;
+use ltrf_sweep::{registry, report, run_sweep, CampaignParams, ExecutorOptions};
 
 /// Path of the committed fixture (source-relative, so the test can bless it).
 fn fixture_path() -> PathBuf {
@@ -41,7 +38,16 @@ fn normalize(text: &str) -> Vec<String> {
 
 #[test]
 fn fig12_quick_csv_matches_the_committed_golden_file() {
-    let spec = fig12_spec(QUICK_SUBSET, 1, SeedMode::Fixed(CAMPAIGN_SEED));
+    let quick = CampaignParams {
+        quick: true,
+        ..CampaignParams::default()
+    };
+    let spec = registry()
+        .find("fig12")
+        .unwrap()
+        .specs(&quick)
+        .unwrap()
+        .remove(0);
     // Uncached: provenance columns must read `false` in the fixture no
     // matter what caches exist on the developer's machine.
     let results = run_sweep(&spec, &ExecutorOptions::default());

@@ -1,9 +1,9 @@
 //! Golden-file regression test for the `sweep fig9` CSV output.
 //!
-//! The campaign spec comes from the same canonical constructor the CLI uses
-//! ([`ltrf_sweep::campaigns::fig9_spec`]), over the CLI's `--quick` workload
-//! subset with the fixed campaign seed — so the committed fixture pins the
-//! exact rows `sweep fig9 --quick` emits. Any refactor that silently shifts
+//! The campaign spec comes from the registry row the CLI dispatches to,
+//! with `--quick`'s parameters (the four-workload subset and the fixed
+//! campaign seed) — so the committed fixture pins the exact rows `sweep fig9
+//! --quick` emits. Any refactor that silently shifts
 //! a simulated statistic, a normalization factor, a power number, the CSV
 //! schema, or the point enumeration order fails this test.
 //!
@@ -16,9 +16,7 @@
 
 use std::path::PathBuf;
 
-use ltrf_sweep::campaigns::fig9_spec;
-use ltrf_sweep::{report, run_sweep, ExecutorOptions, SeedMode, CAMPAIGN_SEED};
-use ltrf_workloads::QUICK_SUBSET;
+use ltrf_sweep::{registry, report, run_sweep, CampaignParams, ExecutorOptions};
 
 /// Path of the committed fixture (source-relative, so the test can bless it).
 fn fixture_path() -> PathBuf {
@@ -39,7 +37,16 @@ fn normalize(text: &str) -> Vec<String> {
 
 #[test]
 fn fig9_quick_csv_matches_the_committed_golden_file() {
-    let spec = fig9_spec(QUICK_SUBSET, 1, SeedMode::Fixed(CAMPAIGN_SEED));
+    let quick = CampaignParams {
+        quick: true,
+        ..CampaignParams::default()
+    };
+    let spec = registry()
+        .find("fig9")
+        .unwrap()
+        .specs(&quick)
+        .unwrap()
+        .remove(0);
     // Uncached: provenance columns must read `false` in the fixture no
     // matter what caches exist on the developer's machine.
     let results = run_sweep(&spec, &ExecutorOptions::default());

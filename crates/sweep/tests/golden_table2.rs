@@ -1,9 +1,8 @@
 //! Golden-file regression test for the `sweep table2` CSV output (`--quick`
 //! subset).
 //!
-//! The spec comes from the same canonical constructor the CLI dispatches to
-//! ([`ltrf_sweep::campaigns::table2_spec`]), so the committed fixture pins
-//! the exact rows `sweep table2 --quick` emits. Any refactor that shifts a
+//! The spec comes from the registry row the CLI dispatches to, so the
+//! committed fixture pins the exact rows `sweep table2 --quick` emits. Any refactor that shifts a
 //! statistic, the CSV schema, or the point enumeration order fails this test.
 //!
 //! When an *intentional* behaviour change shifts the numbers, regenerate the
@@ -15,9 +14,7 @@
 
 use std::path::PathBuf;
 
-use ltrf_sweep::campaigns::table2_spec;
-use ltrf_sweep::{report, run_sweep, ExecutorOptions, SeedMode, CAMPAIGN_SEED};
-use ltrf_workloads::QUICK_SUBSET;
+use ltrf_sweep::{registry, report, run_sweep, CampaignParams, ExecutorOptions};
 
 /// Path of the committed fixture (source-relative, so the test can bless it).
 fn fixture_path() -> PathBuf {
@@ -36,7 +33,16 @@ fn normalize(text: &str) -> Vec<String> {
 
 #[test]
 fn table2_quick_csv_matches_the_committed_golden_file() {
-    let spec = table2_spec(QUICK_SUBSET, 1, SeedMode::Fixed(CAMPAIGN_SEED));
+    let quick = CampaignParams {
+        quick: true,
+        ..CampaignParams::default()
+    };
+    let spec = registry()
+        .find("table2")
+        .unwrap()
+        .specs(&quick)
+        .unwrap()
+        .remove(0);
     // Uncached: provenance columns must read `false` in the fixture no
     // matter what caches exist on the developer's machine.
     let results = run_sweep(&spec, &ExecutorOptions::default());

@@ -13,20 +13,29 @@
 use std::path::PathBuf;
 
 use ltrf_sim::Topology;
-use ltrf_sweep::campaigns::{interconnect_specs, InterconnectCampaignParams};
 use ltrf_sweep::report::{CsvSchema, CSV_COLUMNS, INTERCONNECT_CSV_COLUMNS};
-use ltrf_sweep::{run_sweep, ExecutorOptions, SeedMode, CAMPAIGN_SEED};
+use ltrf_sweep::{registry, run_sweep, CampaignParams, ExecutorOptions, SweepSpec};
 
-/// Narrowed campaign parameters the tests share: one topology, two SM
-/// counts, the fixed campaign seed — small enough for the debug test
-/// profile while still crossing the shared-memory path (sm_count 4).
-fn params(topology: Topology, sm_counts: &[usize]) -> InterconnectCampaignParams {
-    InterconnectCampaignParams {
-        topologies: vec![topology],
-        sm_counts: sm_counts.to_vec(),
-        seed_mode: SeedMode::Fixed(CAMPAIGN_SEED),
-        ..InterconnectCampaignParams::default()
+/// Narrowed `--quick` campaign parameters the tests share: one topology and
+/// a short SM axis, under the fixed campaign seed.
+fn params(topology: Topology, sm_counts: &[usize]) -> CampaignParams {
+    CampaignParams {
+        quick: true,
+        topology: Some(topology),
+        sm_counts: Some(sm_counts.to_vec()),
+        ..CampaignParams::default()
     }
+}
+
+/// The campaign's one spec under `params`, kept to `workloads` of the quick
+/// subset — small enough for the debug test profile while still crossing
+/// the shared-memory path (sm_count > 1).
+fn interconnect_spec(params: &CampaignParams, workloads: &[&str]) -> SweepSpec {
+    let campaign = registry().find("interconnect").unwrap();
+    let mut spec = campaign.specs(params).unwrap().remove(0);
+    spec.points
+        .retain(|point| workloads.contains(&point.workload.as_str()));
+    spec
 }
 
 /// A fresh per-process scratch directory (removed and recreated so a stale
@@ -46,7 +55,7 @@ fn warm_reruns_hit_and_topology_changes_miss() {
         ..ExecutorOptions::default()
     };
 
-    let crossbar = &interconnect_specs(&["hotspot"], &params(Topology::Crossbar, &[1, 2]))[0];
+    let crossbar = &interconnect_spec(&params(Topology::Crossbar, &[1, 2]), &["hotspot"]);
     let cold = run_sweep(crossbar, &options);
     assert_eq!(cold.failure_count(), 0);
     assert_eq!(cold.cached_count(), 0, "cold run computes everything");
@@ -59,22 +68,24 @@ fn warm_reruns_hit_and_topology_changes_miss() {
     );
 
     // Changing the topology is new cache-key material on every point.
-    let mesh = &interconnect_specs(&["hotspot"], &params(Topology::Mesh2D, &[1, 2]))[0];
+    let mesh = &interconnect_spec(&params(Topology::Mesh2D, &[1, 2]), &["hotspot"]);
     let mesh_run = run_sweep(mesh, &options);
     assert_eq!(mesh_run.cached_count(), 0, "a new topology misses 100%");
 
     // So is changing any link-provisioning knob of an already-cached
     // topology.
-    let mut narrow = params(Topology::Crossbar, &[1, 2]);
-    narrow.link_width = 16;
-    let narrow_spec = &interconnect_specs(&["hotspot"], &narrow)[0];
+    let narrow = CampaignParams {
+        link_width: Some(16),
+        ..params(Topology::Crossbar, &[1, 2])
+    };
+    let narrow_spec = &interconnect_spec(&narrow, &["hotspot"]);
     let narrow_run = run_sweep(narrow_spec, &options);
     assert_eq!(narrow_run.cached_count(), 0, "a new link width misses 100%");
 
     // The ideal spec at default provisioning carries the *default* network,
     // which is elided from cache keys: its identity is exactly the
     // pre-interconnect identity of the same experiment.
-    let ideal = &interconnect_specs(&["hotspot"], &params(Topology::Ideal, &[1, 2]))[0];
+    let ideal = &interconnect_spec(&params(Topology::Ideal, &[1, 2]), &["hotspot"]);
     let ideal_cold = run_sweep(ideal, &options);
     assert_eq!(ideal_cold.cached_count(), 0);
     let ideal_warm = run_sweep(ideal, &options);
@@ -100,7 +111,7 @@ fn normalize(text: &str) -> Vec<String> {
 
 #[test]
 fn interconnect_crossbar_csv_matches_the_committed_golden_file() {
-    let spec = &interconnect_specs(&["hotspot", "btree"], &params(Topology::Crossbar, &[1, 4]))[0];
+    let spec = &interconnect_spec(&params(Topology::Crossbar, &[1, 4]), &["hotspot", "btree"]);
     // Uncached: provenance columns must read `false` in the fixture no
     // matter what caches exist on the developer's machine.
     let results = run_sweep(spec, &ExecutorOptions::default());
@@ -168,8 +179,8 @@ fn interconnect_crossbar_csv_matches_the_committed_golden_file() {
 
 #[test]
 fn crossbar_and_mesh_diverge_at_sixteen_sms() {
-    let crossbar_spec = &interconnect_specs(&["hotspot"], &params(Topology::Crossbar, &[16]))[0];
-    let mesh_spec = &interconnect_specs(&["hotspot"], &params(Topology::Mesh2D, &[16]))[0];
+    let crossbar_spec = &interconnect_spec(&params(Topology::Crossbar, &[16]), &["hotspot"]);
+    let mesh_spec = &interconnect_spec(&params(Topology::Mesh2D, &[16]), &["hotspot"]);
     let options = ExecutorOptions::default();
     let crossbar = run_sweep(crossbar_spec, &options);
     let mesh = run_sweep(mesh_spec, &options);

@@ -10,33 +10,27 @@
 use std::collections::HashSet;
 use std::path::PathBuf;
 
-use ltrf_sweep::campaigns::{gen_campaign_spec, GenCampaignParams};
 use ltrf_sweep::{
-    point_key, report, CampaignEvent, CampaignSession, EventLog, ExecutorOptions, SeedMode,
-    StreamingCsvWriter,
+    point_key, registry, report, CampaignEvent, CampaignParams, CampaignSession, EventLog,
+    ExecutorOptions, StreamingCsvWriter, SweepSpec,
 };
-use ltrf_workloads::GeneratorConfig;
 
-/// Small, fast generator bounds for the integration campaigns.
-fn test_bounds() -> GeneratorConfig {
-    GeneratorConfig {
-        min_regs: 12,
-        max_regs: 64,
-        max_outer_trips: 3,
-        max_inner_trips: 6,
-        max_body_alu: 6,
-        max_body_loads: 2,
-    }
-}
-
-fn test_params(population: usize) -> GenCampaignParams {
-    GenCampaignParams {
-        population,
-        population_seed: 41,
-        config: test_bounds(),
-        sm_count: 1,
-        seed_mode: SeedMode::Fixed(2018),
-    }
+/// A generated campaign of `population` members under small, fast
+/// generator bounds.
+fn gen_campaign_spec(population: usize) -> SweepSpec {
+    let params = CampaignParams {
+        population: Some(population),
+        population_seed: Some(41),
+        min_regs: Some(12),
+        max_regs: Some(64),
+        max_outer_trips: Some(3),
+        max_inner_trips: Some(6),
+        max_body_alu: Some(6),
+        max_body_loads: Some(2),
+        ..CampaignParams::default()
+    };
+    let gen = registry().find("gen-campaign").unwrap();
+    gen.specs(&params).unwrap().remove(0)
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -75,8 +69,8 @@ fn without_provenance(csv: &str) -> Vec<String> {
 fn resumed_campaign_restores_completed_points_and_matches_an_uninterrupted_run() {
     let dir = temp_dir("kill-rerun");
     let run_cache = dir.join("cache");
-    let spec_full = gen_campaign_spec(&test_params(4));
-    let spec_subset = gen_campaign_spec(&test_params(2));
+    let spec_full = gen_campaign_spec(4);
+    let spec_subset = gen_campaign_spec(2);
     assert!(spec_subset.points.len() < spec_full.points.len());
 
     let reference = ltrf_sweep::run_sweep(&spec_full, &ExecutorOptions::default());

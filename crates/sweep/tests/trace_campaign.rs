@@ -10,10 +10,9 @@
 //! LTRF_BLESS=1 cargo test -p ltrf-sweep --test trace_campaign
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use ltrf_sweep::campaigns::{trace_campaign_spec, TraceCampaignParams};
-use ltrf_sweep::{report, run_sweep, ExecutorOptions, SeedMode, TraceWorkloadId, CAMPAIGN_SEED};
+use ltrf_sweep::{registry, report, run_sweep, CampaignParams, ExecutorOptions, SweepSpec};
 
 fn example(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../examples/traces/{name}"))
@@ -27,12 +26,14 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn test_params(traces: Vec<TraceWorkloadId>) -> TraceCampaignParams {
-    TraceCampaignParams {
-        traces,
-        sm_count: 1,
-        seed_mode: SeedMode::Fixed(2018),
-    }
+/// The `trace-campaign` spec over the given trace files.
+fn trace_campaign_spec(traces: &[&Path]) -> SweepSpec {
+    let params = CampaignParams {
+        trace_paths: traces.iter().map(|p| p.display().to_string()).collect(),
+        ..CampaignParams::default()
+    };
+    let campaign = registry().find("trace-campaign").unwrap();
+    campaign.specs(&params).unwrap().remove(0)
 }
 
 #[test]
@@ -50,9 +51,7 @@ fn warm_rerun_hits_fully_and_an_edited_trace_misses_fully() {
     std::fs::copy(example("straight_line.trace"), &trace_path).unwrap();
 
     // Cold run: everything computes.
-    let spec = trace_campaign_spec(&test_params(vec![
-        TraceWorkloadId::from_path(&trace_path).unwrap()
-    ]));
+    let spec = trace_campaign_spec(&[&trace_path]);
     let cold = run_sweep(&spec, &options);
     assert_eq!(cold.failure_count(), 0);
     assert_eq!(cold.cached_count(), 0);
@@ -80,10 +79,7 @@ fn warm_rerun_hits_fully_and_an_edited_trace_misses_fully() {
         source.replace("-grid dim = (4,1,1)", "-grid dim = (64,1,1)"),
     )
     .unwrap();
-    let edited_spec =
-        trace_campaign_spec(&test_params(vec![
-            TraceWorkloadId::from_path(&trace_path).unwrap()
-        ]));
+    let edited_spec = trace_campaign_spec(&[&trace_path]);
     assert_ne!(edited_spec.name, spec.name, "trace-set fingerprint renames");
     let edited = run_sweep(&edited_spec, &options);
     assert_eq!(
@@ -119,11 +115,10 @@ fn warm_rerun_hits_fully_and_an_edited_trace_misses_fully() {
 
 #[test]
 fn trace_campaigns_are_deterministic_and_name_their_workloads() {
-    let traces = vec![
-        TraceWorkloadId::from_path(example("straight_line.trace")).unwrap(),
-        TraceWorkloadId::from_path(example("divergent_loop.trace")).unwrap(),
-    ];
-    let spec = trace_campaign_spec(&test_params(traces));
+    let spec = trace_campaign_spec(&[
+        &example("straight_line.trace"),
+        &example("divergent_loop.trace"),
+    ]);
     let options = ExecutorOptions::default();
     let first = run_sweep(&spec, &options);
     let second = run_sweep(&spec, &options);
@@ -166,16 +161,11 @@ fn normalize(text: &str) -> Vec<String> {
 fn trace_campaign_csv_matches_the_committed_golden_file() {
     // The same default invocation `sweep trace-campaign` runs: the three
     // example traces with the fixed campaign seed.
-    let traces = vec![
-        TraceWorkloadId::from_path(example("straight_line.trace")).unwrap(),
-        TraceWorkloadId::from_path(example("divergent_loop.trace")).unwrap(),
-        TraceWorkloadId::from_path(example("high_register_pressure.trace")).unwrap(),
-    ];
-    let spec = trace_campaign_spec(&TraceCampaignParams {
-        traces,
-        sm_count: 1,
-        seed_mode: SeedMode::Fixed(CAMPAIGN_SEED),
-    });
+    let spec = trace_campaign_spec(&[
+        &example("straight_line.trace"),
+        &example("divergent_loop.trace"),
+        &example("high_register_pressure.trace"),
+    ]);
     // Uncached: provenance columns must read `false` in the fixture no
     // matter what caches exist on the developer's machine.
     let results = run_sweep(&spec, &ExecutorOptions::default());

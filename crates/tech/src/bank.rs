@@ -32,20 +32,6 @@ pub struct BankEstimate {
     pub latency_factor: f64,
 }
 
-impl BankEstimate {
-    /// Capacity per unit area, relative to the baseline.
-    #[must_use]
-    pub fn capacity_per_area(&self) -> f64 {
-        self.capacity_factor / self.area_factor
-    }
-
-    /// Capacity per unit power, relative to the baseline.
-    #[must_use]
-    pub fn capacity_per_power(&self) -> f64 {
-        self.capacity_factor / self.power_factor
-    }
-}
-
 /// Analytical model of a banked register file.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BankModel {
@@ -89,7 +75,7 @@ impl BankModel {
 
     /// Total capacity relative to the baseline.
     #[must_use]
-    pub fn capacity_factor(&self) -> f64 {
+    pub(crate) fn capacity_factor(&self) -> f64 {
         self.bank_count_factor * self.bank_size_factor
     }
 
@@ -162,8 +148,8 @@ mod tests {
         );
         assert!((e.area_factor - 1.0).abs() < 0.05);
         assert!((e.power_factor - 1.0).abs() < 0.05);
-        assert!((e.capacity_per_area() - 1.0).abs() < 0.06);
-        assert!((e.capacity_per_power() - 1.0).abs() < 0.06);
+        assert!((e.capacity_factor / e.area_factor - 1.0).abs() < 0.06);
+        assert!((e.capacity_factor / e.power_factor - 1.0).abs() < 0.06);
     }
 
     #[test]

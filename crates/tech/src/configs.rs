@@ -49,18 +49,6 @@ pub struct RegFileConfig {
 }
 
 impl RegFileConfig {
-    /// Capacity per unit area, relative to the baseline.
-    #[must_use]
-    pub fn capacity_per_area(&self) -> f64 {
-        self.capacity_factor / self.area_factor
-    }
-
-    /// Capacity per unit power, relative to the baseline.
-    #[must_use]
-    pub fn capacity_per_power(&self) -> f64 {
-        self.capacity_factor / self.power_factor
-    }
-
     /// The corresponding analytical model (without calibration).
     #[must_use]
     pub fn bank_model(&self) -> BankModel {
@@ -75,7 +63,7 @@ impl RegFileConfig {
     /// Total register-file capacity in kilobytes, assuming the 256 KB
     /// baseline of the paper's Maxwell-like SM.
     #[must_use]
-    pub fn capacity_kib(&self) -> f64 {
+    pub(crate) fn capacity_kib(&self) -> f64 {
         256.0 * self.capacity_factor
     }
 
@@ -210,11 +198,11 @@ mod tests {
     fn derived_efficiency_matches_paper() {
         // Config #7 (DWM): 32x capacity/area and ~12x capacity/power.
         let c7 = RegFileConfig::from_table(7);
-        assert!((c7.capacity_per_area() - 32.0).abs() < 1e-9);
-        assert!((c7.capacity_per_power() - 12.3).abs() < 0.5);
+        assert!((c7.capacity_factor / c7.area_factor - 32.0).abs() < 1e-9);
+        assert!((c7.capacity_factor / c7.power_factor - 12.3).abs() < 0.5);
         // Config #6 (TFET): ~7.6x capacity/power.
         let c6 = RegFileConfig::from_table(6);
-        assert!((c6.capacity_per_power() - 7.6).abs() < 0.1);
+        assert!((c6.capacity_factor / c6.power_factor - 7.6).abs() < 0.1);
     }
 
     #[test]

@@ -19,7 +19,7 @@ impl NetworkTopology {
     /// Additional traversal latency relative to the baseline 16-bank
     /// crossbar, in baseline register-file access units.
     #[must_use]
-    pub fn traversal_latency_factor(self, bank_count_factor: f64) -> f64 {
+    pub(crate) fn traversal_latency_factor(self, bank_count_factor: f64) -> f64 {
         match self {
             // A crossbar's traversal latency is essentially flat until the
             // port count explodes; wiring for more banks adds a small delay.
@@ -37,7 +37,7 @@ impl NetworkTopology {
     /// function of the number of ports (bank count factor) and link width
     /// factor.
     #[must_use]
-    pub fn area_factor(self, bank_count_factor: f64, link_width_factor: f64) -> f64 {
+    pub(crate) fn area_factor(self, bank_count_factor: f64, link_width_factor: f64) -> f64 {
         match self {
             // Crossbar area grows quadratically with port count and linearly
             // with link width.
@@ -50,7 +50,7 @@ impl NetworkTopology {
 
     /// Relative dynamic energy per traversal versus the baseline crossbar.
     #[must_use]
-    pub fn energy_factor(self, bank_count_factor: f64) -> f64 {
+    pub(crate) fn energy_factor(self, bank_count_factor: f64) -> f64 {
         match self {
             NetworkTopology::Crossbar => bank_count_factor.max(1.0).sqrt(),
             NetworkTopology::FlattenedButterfly => 0.8 * bank_count_factor.max(1.0).sqrt(),

@@ -44,7 +44,7 @@ impl AccessCounts {
 
     /// Sum of all register-file-cache accesses.
     #[must_use]
-    pub const fn rfc_total(&self) -> u64 {
+    pub(crate) const fn rfc_total(&self) -> u64 {
         self.rfc_reads + self.rfc_writes
     }
 }
@@ -153,12 +153,14 @@ impl RegFilePowerModel {
     /// kilobytes (pass 0 for organizations without a cache), under the
     /// default [`PowerParams`] calibration.
     #[must_use]
-    pub fn for_config(config: &RegFileConfig, rfc_kib: f64, clock_mhz: f64) -> Self {
+    pub(crate) fn for_config(config: &RegFileConfig, rfc_kib: f64, clock_mhz: f64) -> Self {
         RegFilePowerModel::for_config_with(config, rfc_kib, clock_mhz, &PowerParams::default())
     }
 
-    /// [`Self::for_config`] under an explicit [`PowerParams`] calibration
-    /// (the `sweep power` entry point).
+    /// A power model for a main register file described by a Table 2
+    /// configuration, with an optional register-file cache of `rfc_kib`
+    /// kilobytes (pass 0 for organizations without a cache), under an
+    /// explicit [`PowerParams`] calibration (the `sweep power` entry point).
     #[must_use]
     pub fn for_config_with(
         config: &RegFileConfig,

@@ -33,7 +33,7 @@ impl CellTechnology {
     /// Relative cell area (bits per unit area, inverse), normalized to
     /// high-performance SRAM. Smaller is denser.
     #[must_use]
-    pub const fn relative_cell_area(self) -> f64 {
+    pub(crate) const fn relative_cell_area(self) -> f64 {
         match self {
             CellTechnology::HpSram => 1.0,
             CellTechnology::LstpSram => 1.0,
@@ -47,7 +47,7 @@ impl CellTechnology {
 
     /// Relative dynamic energy per access, normalized to HP SRAM.
     #[must_use]
-    pub const fn relative_access_energy(self) -> f64 {
+    pub(crate) const fn relative_access_energy(self) -> f64 {
         match self {
             CellTechnology::HpSram => 1.0,
             CellTechnology::LstpSram => 0.55,
@@ -58,7 +58,7 @@ impl CellTechnology {
 
     /// Relative leakage power per bit, normalized to HP SRAM.
     #[must_use]
-    pub const fn relative_leakage(self) -> f64 {
+    pub(crate) const fn relative_leakage(self) -> f64 {
         match self {
             CellTechnology::HpSram => 1.0,
             CellTechnology::LstpSram => 0.28,
@@ -69,7 +69,7 @@ impl CellTechnology {
 
     /// Relative raw cell access latency, normalized to HP SRAM.
     #[must_use]
-    pub const fn relative_cell_latency(self) -> f64 {
+    pub(crate) const fn relative_cell_latency(self) -> f64 {
         match self {
             CellTechnology::HpSram => 1.0,
             CellTechnology::LstpSram => 1.9,

@@ -53,8 +53,8 @@ pub mod parse;
 mod workload;
 
 pub use error::TraceError;
-pub use lower::{lower, memory_profile, LoweredKernel, SENSITIVITY_THRESHOLD_REGS};
+pub use lower::{lower, memory_profile, LoweredKernel};
 pub use parse::{
     parse_str, write_trace, KernelHeader, TraceFile, TraceInstruction, TraceOp, WarpStream,
 };
-pub use workload::{content_fingerprint, LoweringBounds, TraceWorkloadId};
+pub use workload::{LoweringBounds, TraceWorkloadId};

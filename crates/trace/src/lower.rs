@@ -28,7 +28,7 @@ use crate::{LoweringBounds, TraceError, TraceFile, TraceInstruction, TraceOp};
 
 /// Register count at and above which a lowered kernel is classified
 /// register-sensitive (mirrors the workload generator's heuristic).
-pub const SENSITIVITY_THRESHOLD_REGS: u16 = 40;
+pub(crate) const SENSITIVITY_THRESHOLD_REGS: u16 = 40;
 
 /// A lowered trace: the kernel plus the PC provenance of every instruction.
 #[derive(Debug, Clone)]
@@ -37,8 +37,6 @@ pub struct LoweredKernel {
     pub kernel: Kernel,
     /// For each block (by index), the source PC of each instruction.
     pc_table: Vec<Vec<u64>>,
-    /// Length of the witness warp stream, in dynamic instructions.
-    dynamic_len: u64,
     /// The bounds the trace was lowered under.
     bounds: LoweringBounds,
 }
@@ -46,14 +44,8 @@ pub struct LoweredKernel {
 impl LoweredKernel {
     /// The trace PC a lowered instruction came from.
     #[must_use]
-    pub fn pc_of(&self, block: BlockId, index: usize) -> Option<u64> {
+    pub(crate) fn pc_of(&self, block: BlockId, index: usize) -> Option<u64> {
         self.pc_table.get(block.index())?.get(index).copied()
-    }
-
-    /// Number of dynamic instructions in the witness warp stream.
-    #[must_use]
-    pub fn dynamic_len(&self) -> u64 {
-        self.dynamic_len
     }
 
     /// Replays the lowered kernel with a [`TraceWalker`] and returns the PC
@@ -383,7 +375,6 @@ pub fn lower(trace: &TraceFile, bounds: &LoweringBounds) -> Result<LoweredKernel
     Ok(LoweredKernel {
         kernel,
         pc_table,
-        dynamic_len: stream.len() as u64,
         bounds: *bounds,
     })
 }
@@ -435,7 +426,6 @@ warp = 0
         assert_eq!(l.kernel.cfg.block_count(), 1);
         assert_eq!(l.kernel.static_instruction_count(), 5);
         assert_eq!(l.kernel.regs_per_thread(), 6);
-        assert_eq!(l.dynamic_len(), 5);
         assert_eq!(l.replayed_pc_sequence(1), vec![0x0, 0x8, 0x10, 0x18, 0x20]);
     }
 

@@ -40,7 +40,7 @@ pub enum TraceOp {
 impl TraceOp {
     /// Looks up a trace mnemonic (modifiers after `.` already stripped).
     #[must_use]
-    pub fn from_mnemonic(mnemonic: &str) -> Option<Self> {
+    pub(crate) fn from_mnemonic(mnemonic: &str) -> Option<Self> {
         let op = match mnemonic {
             "BRA" => return Some(TraceOp::Branch),
             "EXIT" | "RET" => return Some(TraceOp::Exit),
@@ -69,7 +69,7 @@ impl TraceOp {
 
     /// The canonical mnemonic the writer emits; parsing it yields `self`.
     #[must_use]
-    pub fn mnemonic(&self) -> &'static str {
+    pub(crate) fn mnemonic(&self) -> &'static str {
         match self {
             TraceOp::Branch => "BRA",
             TraceOp::Exit => "EXIT",
@@ -135,14 +135,14 @@ pub struct KernelHeader {
 impl KernelHeader {
     /// Thread blocks in the grid (product of the grid dimensions, min 1).
     #[must_use]
-    pub fn blocks_per_grid(&self) -> u32 {
+    pub(crate) fn blocks_per_grid(&self) -> u32 {
         let (x, y, z) = self.grid_dim;
         x.saturating_mul(y).saturating_mul(z).max(1)
     }
 
     /// Warps per thread block (threads rounded up to warps, min 1).
     #[must_use]
-    pub fn warps_per_block(&self) -> u32 {
+    pub(crate) fn warps_per_block(&self) -> u32 {
         let (x, y, z) = self.block_dim;
         let threads = u64::from(x) * u64::from(y) * u64::from(z);
         u32::try_from(threads.div_ceil(32))
@@ -167,14 +167,6 @@ pub struct TraceFile {
     pub header: KernelHeader,
     /// Per-warp instruction streams, in file order.
     pub warps: Vec<WarpStream>,
-}
-
-impl TraceFile {
-    /// Total instruction records across all warp streams.
-    #[must_use]
-    pub fn record_count(&self) -> usize {
-        self.warps.iter().map(|w| w.instructions.len()).sum()
-    }
 }
 
 fn syntax(line: usize, message: impl Into<String>) -> TraceError {
@@ -548,7 +540,8 @@ warp = 1
         assert_eq!(t.header.shmem, 128);
         assert_eq!(t.warps.len(), 2);
         assert_eq!(t.warps[0].warp_id, 0);
-        assert_eq!(t.record_count(), 5);
+        let records: usize = t.warps.iter().map(|w| w.instructions.len()).sum();
+        assert_eq!(records, 5);
         let ldg = &t.warps[0].instructions[1];
         assert_eq!(ldg.pc, 8);
         assert_eq!(ldg.op, TraceOp::Op(Opcode::LoadGlobal));

@@ -43,7 +43,7 @@ impl Default for LoweringBounds {
 /// the sweep cache hashes the full key material (including this fingerprint)
 /// with SHA-256 on its own.
 #[must_use]
-pub fn content_fingerprint(bytes: &[u8]) -> String {
+pub(crate) fn content_fingerprint(bytes: &[u8]) -> String {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &byte in bytes {
         hash ^= u64::from(byte);
@@ -77,7 +77,8 @@ fn interned_name(name: &str) -> &'static str {
 pub struct TraceWorkloadId {
     /// Path of the trace file, as given on the command line.
     pub path: String,
-    /// [`content_fingerprint`] of the file at identity-capture time.
+    /// The FNV-1a fingerprint (16 hex digits) of the file's bytes at
+    /// identity-capture time.
     pub content_hash: String,
     /// Bounds the trace will be lowered under.
     pub bounds: LoweringBounds,
@@ -101,13 +102,6 @@ impl TraceWorkloadId {
             content_hash: content_fingerprint(&bytes),
             bounds: LoweringBounds::default(),
         })
-    }
-
-    /// Replaces the lowering bounds (they are part of the identity).
-    #[must_use]
-    pub fn with_bounds(mut self, bounds: LoweringBounds) -> Self {
-        self.bounds = bounds;
-        self
     }
 
     /// The workload name this trace runs under: `trace:<file-stem>`.

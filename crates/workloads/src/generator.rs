@@ -10,7 +10,7 @@
 //! * the *streaming* API ([`WorkloadGenerator::next_workload`] /
 //!   [`WorkloadGenerator::generate`]) draws workloads from one sequential RNG,
 //!   so member `i` depends on every draw before it;
-//! * the *population* API ([`WorkloadGenerator::population`] /
+//! * the *population* API ([`WorkloadGenerator::population_with_config`] /
 //!   [`WorkloadGenerator::population_member`]) derives an independent seed per
 //!   member index (splitmix64 over the population seed), so member `i` of a
 //!   population is the same workload no matter how many other members are
@@ -132,7 +132,7 @@ impl WorkloadGenerator {
     }
 
     /// Generates the next random workload specification.
-    pub fn next_spec(&mut self) -> WorkloadSpec {
+    pub(crate) fn next_spec(&mut self) -> WorkloadSpec {
         let name = GENERATED_NAMES[(self.counter as usize) % GENERATED_NAMES.len()];
         self.counter += 1;
         spec_from_rng(&mut self.rng, self.config, name)
@@ -155,7 +155,7 @@ impl WorkloadGenerator {
     /// `population(seed, n)[i]` is the same workload for every `n > i` —
     /// the identity campaign caches rely on.
     #[must_use]
-    pub fn member_seed(population_seed: u64, index: u32) -> u64 {
+    pub(crate) fn member_seed(population_seed: u64, index: u32) -> u64 {
         let mut z = population_seed
             .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(index) + 1));
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -181,8 +181,8 @@ impl WorkloadGenerator {
     }
 
     /// Materializes member `index` of the population seeded `population_seed`
-    /// under `config`: an independent, index-stable draw (see
-    /// [`Self::member_seed`]).
+    /// under `config`: an independent, index-stable draw (each member's
+    /// seed derives from the population seed and its index alone).
     ///
     /// # Panics
     ///
@@ -202,13 +202,7 @@ impl WorkloadGenerator {
     }
 
     /// Materializes the first `count` members of the population seeded
-    /// `population_seed` with the default bounds.
-    #[must_use]
-    pub fn population(population_seed: u64, count: usize) -> Vec<Workload> {
-        Self::population_with_config(population_seed, count, GeneratorConfig::default())
-    }
-
-    /// [`Self::population`] with explicit generator bounds.
+    /// `population_seed` under `config`.
     ///
     /// # Panics
     ///
@@ -307,8 +301,8 @@ mod tests {
 
     #[test]
     fn population_members_are_index_stable() {
-        let short = WorkloadGenerator::population(11, 4);
-        let long = WorkloadGenerator::population(11, 12);
+        let short = WorkloadGenerator::population_with_config(11, 4, GeneratorConfig::default());
+        let long = WorkloadGenerator::population_with_config(11, 12, GeneratorConfig::default());
         for (i, w) in short.iter().enumerate() {
             assert_eq!(
                 w.spec, long[i].spec,

@@ -35,6 +35,6 @@ pub mod suite;
 pub use generator::{GeneratorConfig, WorkloadGenerator};
 pub use spec::{BenchmarkSuite, MemoryProfile, Workload, WorkloadSpec};
 pub use suite::{
-    by_name, evaluated_specs, evaluated_suite, quick_suite, register_insensitive_suite,
-    register_sensitive_suite, unconstrained_register_demands, QUICK_SUBSET,
+    by_name, evaluated_specs, evaluated_suite, quick_suite, unconstrained_register_demands,
+    QUICK_SUBSET,
 };

@@ -289,24 +289,6 @@ pub fn quick_suite() -> Vec<Workload> {
         .collect()
 }
 
-/// Builds only the register-sensitive workloads.
-#[must_use]
-pub fn register_sensitive_suite() -> Vec<Workload> {
-    evaluated_suite()
-        .into_iter()
-        .filter(Workload::is_register_sensitive)
-        .collect()
-}
-
-/// Builds only the register-insensitive workloads.
-#[must_use]
-pub fn register_insensitive_suite() -> Vec<Workload> {
-    evaluated_suite()
-        .into_iter()
-        .filter(|w| !w.is_register_sensitive())
-        .collect()
-}
-
 /// Looks a workload up by name.
 #[must_use]
 pub fn by_name(name: &str) -> Option<Workload> {
@@ -343,8 +325,8 @@ mod tests {
     fn suite_has_nine_sensitive_and_five_insensitive_workloads() {
         let suite = evaluated_suite();
         assert_eq!(suite.len(), 14);
-        assert_eq!(register_sensitive_suite().len(), 9);
-        assert_eq!(register_insensitive_suite().len(), 5);
+        let sensitive = suite.iter().filter(|w| w.is_register_sensitive()).count();
+        assert_eq!((sensitive, suite.len() - sensitive), (9, 5));
     }
 
     #[test]
@@ -360,16 +342,12 @@ mod tests {
 
     #[test]
     fn sensitive_workloads_demand_more_registers() {
-        let sensitive_min = register_sensitive_suite()
-            .iter()
-            .map(|w| w.spec.regs_per_thread)
-            .min()
-            .unwrap();
-        let insensitive_max = register_insensitive_suite()
-            .iter()
-            .map(|w| w.spec.regs_per_thread)
-            .max()
-            .unwrap();
+        let (sensitive, insensitive): (Vec<_>, Vec<_>) = evaluated_suite()
+            .into_iter()
+            .partition(Workload::is_register_sensitive);
+        let sensitive_min = sensitive.iter().map(|w| w.spec.regs_per_thread).min();
+        let insensitive_max = insensitive.iter().map(|w| w.spec.regs_per_thread).max();
+        let (sensitive_min, insensitive_max) = (sensitive_min.unwrap(), insensitive_max.unwrap());
         assert!(
             sensitive_min > insensitive_max,
             "register-sensitive kernels must demand more registers ({sensitive_min} vs {insensitive_max})"
